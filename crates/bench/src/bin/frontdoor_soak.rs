@@ -476,7 +476,7 @@ fn main() {
         breaker: BreakerConfig { failure_threshold: 3, cooldown_polls: 4, half_open_successes: 2 },
         policy,
         faults: engine_faults,
-        batch: BatchConfig::disabled(),
+        batch: BatchConfig::default(),
         telemetry: tel.clone(),
         flight_dump_dir: Some(dump_dir.clone()),
     }));

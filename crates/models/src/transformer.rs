@@ -221,36 +221,20 @@ impl TransformerEncoder {
         self.forward_with_skips(g, bp, x).0
     }
 
-    /// Runs the stack with a per-sample key-padding mask applied to every
-    /// block's attention — the multi-request batched serving path, where
-    /// ragged sequences are zero-padded to a common length and the mask
-    /// keeps each sample's padding out of its own attention keys. Batch
-    /// samples never mix (attention is block-diagonal per sample), so each
-    /// row of the output equals the corresponding solo forward. `None`
-    /// reproduces [`TransformerEncoder::forward`] exactly.
-    pub fn forward_with_key_mask(
+    /// Runs the stack for inference, checking `cancel` before every block
+    /// and applying a per-sample key-padding mask to every block's
+    /// attention (`mask[b][t] == false` marks padding). Each block is the
+    /// unit of preemption: a pass whose deadline expires mid-stack stops
+    /// paying for the remaining blocks. Batch samples never mix (attention
+    /// is block-diagonal per sample), so each output row equals its solo
+    /// forward; `None` and a never-cancelled token reproduce
+    /// [`TransformerEncoder::forward`] exactly.
+    pub fn forward_masked(
         &self,
         g: &mut Graph,
         bp: &BoundParams,
         x: Var,
         key_mask: Option<&[Vec<bool>]>,
-    ) -> Var {
-        let mut h = x;
-        for blk in &self.blocks {
-            h = blk.forward_with_key_mask(g, bp, h, key_mask);
-        }
-        self.final_ln.forward(g, bp, h)
-    }
-
-    /// Runs the stack with a cooperative cancellation check *between*
-    /// blocks — the serving path's deadline hook. Each block is the unit of
-    /// preemption: a request whose deadline expires mid-stack stops paying
-    /// for the remaining blocks instead of finishing a doomed pass.
-    pub fn forward_with_cancel(
-        &self,
-        g: &mut Graph,
-        bp: &BoundParams,
-        x: Var,
         cancel: &CancelToken,
     ) -> Result<Var, Cancelled> {
         let mut h = x;
@@ -258,7 +242,7 @@ impl TransformerEncoder {
             if cancel.is_cancelled() {
                 return Err(Cancelled { completed_blocks: i, total_blocks: self.blocks.len() });
             }
-            h = blk.forward(g, bp, h);
+            h = blk.forward_with_key_mask(g, bp, h, key_mask);
         }
         Ok(self.final_ln.forward(g, bp, h))
     }

@@ -153,15 +153,27 @@ impl ViTSegmenter {
         self.head.forward(g, bp, x)
     }
 
-    /// Batched multi-request inference: `[B, L, patch_dim]` tokens from `B`
-    /// *independent* requests, zero-padded to a common `L <= seq_len`, with
-    /// one key-padding mask row per request (`mask[b][t] == false` marks
-    /// padding). Attention is block-diagonal over the batch and the mask
-    /// keeps each request's padding out of its own keys, so row `b`'s real
-    /// tokens equal the solo [`ViTSegmenter::forward_cancellable`] output
-    /// of request `b` (bit-exact at `B == 1` with no padding; within float
-    /// tolerance otherwise — the padded rows themselves are garbage and
-    /// must be sliced off by the caller).
+    /// Serving inference: `[B, l, patch_dim]` tokens from `B` independent
+    /// requests, zero-padded to a common `l <= seq_len` (prefix positional
+    /// embedding), with one key-padding mask row per request
+    /// (`mask[b][t] == false` marks padding) and `cancel` checked between
+    /// encoder blocks. Row `b`'s real tokens equal request `b`'s solo
+    /// output (bit-exact at `B == 1` with no padding; within float
+    /// tolerance otherwise — padded rows are garbage the caller slices off).
+    pub fn forward_masked(
+        &self,
+        g: &mut Graph,
+        bp: &BoundParams,
+        tokens: Var,
+        key_mask: Option<&[Vec<bool>]>,
+        cancel: &CancelToken,
+    ) -> Result<Var, Cancelled> {
+        let x = self.embed.forward_prefix(g, bp, tokens);
+        let x = self.encoder.forward_masked(g, bp, x, key_mask, cancel)?;
+        Ok(self.head.forward(g, bp, x))
+    }
+
+    /// [`ViTSegmenter::forward_masked`] without a deadline.
     pub fn forward_batched(
         &self,
         g: &mut Graph,
@@ -169,14 +181,10 @@ impl ViTSegmenter {
         tokens: Var,
         key_mask: Option<&[Vec<bool>]>,
     ) -> Var {
-        let x = self.embed.forward_prefix(g, bp, tokens);
-        let x = self.encoder.forward_with_key_mask(g, bp, x, key_mask);
-        self.head.forward(g, bp, x)
+        self.forward_masked(g, bp, tokens, key_mask, &CancelToken::new()).expect("never cancels")
     }
 
-    /// Deadline-aware inference: accepts any sequence length `l <= seq_len`
-    /// (prefix positional embedding) and checks `cancel` between encoder
-    /// blocks, abandoning the pass as soon as the deadline is gone.
+    /// [`ViTSegmenter::forward_masked`] for one unpadded request.
     pub fn forward_cancellable(
         &self,
         g: &mut Graph,
@@ -184,9 +192,7 @@ impl ViTSegmenter {
         tokens: Var,
         cancel: &CancelToken,
     ) -> Result<Var, Cancelled> {
-        let x = self.embed.forward_prefix(g, bp, tokens);
-        let x = self.encoder.forward_with_cancel(g, bp, x, cancel)?;
-        Ok(self.head.forward(g, bp, x))
+        self.forward_masked(g, bp, tokens, None, cancel)
     }
 }
 

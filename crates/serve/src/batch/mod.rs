@@ -10,14 +10,15 @@
 //!
 //! Two cooperating pieces:
 //!
-//! * [`scheduler`] — the continuous-batching worker loop. It drains the
+//! * [`scheduler`] — the engine's only worker loop. It drains the
 //!   admission queue into batches closed at `max_batch` requests or
-//!   `batch_linger` expiry, whichever comes first. Batches are homogeneous
-//!   per degradation tier (the tier decides the patch budget, and mixing
+//!   `batch_linger` expiry, whichever comes first; the default (`max_batch`
+//!   1, no linger) serves each request alone. Batches are homogeneous per
+//!   degradation tier (the tier decides the patch budget, and mixing
 //!   budgets would cross-subsidize latency); slides never batch. Requests
-//!   whose deadline expires while a batch is forming are evicted with a
-//!   typed `DeadlineExceeded { stage: Batching }` instead of dragging the
-//!   whole batch past its SLO.
+//!   whose deadline expires while a batch lingers are evicted with a typed
+//!   `DeadlineExceeded { stage: Batching }` instead of dragging the whole
+//!   batch past its SLO.
 //! * [`cache`] — a bounded content-addressed cache of preprocessed patch
 //!   sequences, keyed by image content hash / `APT1` tile CRCs plus the
 //!   preprocessing knobs, with byte-budgeted LRU eviction and single-flight
@@ -29,13 +30,10 @@ pub mod scheduler;
 pub use cache::{CacheKey, CacheOutcome, CacheStats, ContentKey, PatchCache, VariantKey};
 pub use scheduler::{batch_aware_retry_after, BatchStatsSnapshot};
 
-/// Knobs of the continuous-batching scheduler and its preprocessing cache.
+/// Knobs of the batch scheduler and its preprocessing cache. The default
+/// serves every request alone (`max_batch` 1, no linger) with no cache.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Route image requests through the batching scheduler. Off by default:
-    /// the one-request-per-worker loop keeps its exact fault-injection and
-    /// breaker semantics, and callers opt in to batching explicitly.
-    pub enabled: bool,
     /// Close a forming batch once it holds this many requests.
     pub max_batch: usize,
     /// Close a forming batch this long after its first request even if it
@@ -43,52 +41,23 @@ pub struct BatchConfig {
     /// throughput.
     pub batch_linger_ms: u64,
     /// Byte budget of the content-addressed preprocessing cache; `0`
-    /// disables caching (every request rebuilds its quadtree).
+    /// disables caching (every request rebuilds its quadtree, and nothing
+    /// is hashed).
     pub cache_budget_bytes: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig::disabled()
+        BatchConfig { max_batch: 1, batch_linger_ms: 0, cache_budget_bytes: 0 }
     }
 }
 
 impl BatchConfig {
-    /// Batching off; the knob values are what `enable()` would serve.
-    pub fn disabled() -> Self {
-        BatchConfig {
-            enabled: false,
-            max_batch: 16,
-            batch_linger_ms: 2,
-            cache_budget_bytes: 64 << 20,
-        }
-    }
-
-    /// Batching on with explicit window knobs.
+    /// Batches of up to `max_batch` requests gathered for at most
+    /// `batch_linger_ms`, with a 64 MiB preprocessing cache.
     pub fn enabled(max_batch: usize, batch_linger_ms: u64) -> Self {
-        BatchConfig { enabled: true, max_batch: max_batch.max(1), batch_linger_ms, ..Self::disabled() }
+        BatchConfig { max_batch: max_batch.max(1), batch_linger_ms, cache_budget_bytes: 64 << 20 }
     }
-
-    /// Batching on, with knobs read from the environment where present:
-    /// `APF_MAX_BATCH`, `APF_BATCH_LINGER_MS`, `APF_CACHE_BUDGET_BYTES`.
-    /// Unparseable or missing values keep the defaults.
-    pub fn from_env() -> Self {
-        let mut cfg = BatchConfig { enabled: true, ..Self::disabled() };
-        if let Some(v) = env_usize("APF_MAX_BATCH") {
-            cfg.max_batch = v.max(1);
-        }
-        if let Some(v) = env_usize("APF_BATCH_LINGER_MS") {
-            cfg.batch_linger_ms = v as u64;
-        }
-        if let Some(v) = env_usize("APF_CACHE_BUDGET_BYTES") {
-            cfg.cache_budget_bytes = v;
-        }
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -96,37 +65,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_disabled_with_sane_knobs() {
+    fn defaults_serve_batches_of_one_without_a_cache() {
         let cfg = BatchConfig::default();
-        assert!(!cfg.enabled);
-        assert!(cfg.max_batch >= 1);
-        assert!(cfg.cache_budget_bytes > 0);
+        assert_eq!((cfg.max_batch, cfg.batch_linger_ms, cfg.cache_budget_bytes), (1, 0, 0));
     }
 
     #[test]
     fn enabled_clamps_max_batch_to_one() {
         let cfg = BatchConfig::enabled(0, 5);
-        assert!(cfg.enabled);
         assert_eq!(cfg.max_batch, 1);
         assert_eq!(cfg.batch_linger_ms, 5);
-    }
-
-    #[test]
-    fn from_env_reads_the_documented_variables() {
-        // Serialize against other env-reading tests via distinct var names
-        // already namespaced to this feature.
-        std::env::set_var("APF_MAX_BATCH", "9");
-        std::env::set_var("APF_BATCH_LINGER_MS", "17");
-        std::env::set_var("APF_CACHE_BUDGET_BYTES", "12345");
-        let cfg = BatchConfig::from_env();
-        assert!(cfg.enabled);
-        assert_eq!(cfg.max_batch, 9);
-        assert_eq!(cfg.batch_linger_ms, 17);
-        assert_eq!(cfg.cache_budget_bytes, 12345);
-        std::env::set_var("APF_MAX_BATCH", "not-a-number");
-        assert_eq!(BatchConfig::from_env().max_batch, BatchConfig::disabled().max_batch);
-        for v in ["APF_MAX_BATCH", "APF_BATCH_LINGER_MS", "APF_CACHE_BUDGET_BYTES"] {
-            std::env::remove_var(v);
-        }
+        assert!(cfg.cache_budget_bytes > 0);
     }
 }

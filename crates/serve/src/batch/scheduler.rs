@@ -1,35 +1,37 @@
-//! The continuous-batching worker loop.
-//!
-//! Replaces the one-request-per-worker loop when `BatchConfig::enabled` is
-//! set. Each batch worker:
+//! The serving worker loop: every request the engine admits is served
+//! here. Each worker:
 //!
 //! 1. **Seeds** a batch with the next queued request (or the carry-over from
-//!    the previous window — see below). Slides are dispatched solo
-//!    immediately: a whole-slide stitch is minutes of work and would hold a
-//!    linger window hostage.
+//!    the previous window — see below). A seed whose deadline has passed is
+//!    answered `DeadlineExceeded { stage: Queued }` without being
+//!    dispatched. Slides are dispatched alone immediately: a whole-slide
+//!    stitch is minutes of work and would hold a linger window hostage.
 //! 2. **Gathers** compatible requests until the batch holds `max_batch`
 //!    requests or `batch_linger` has elapsed since the seed, whichever comes
 //!    first. Compatible = image payload at the *same degradation tier*; the
 //!    first incompatible pop becomes the seed of the next batch (the queue
-//!    has no push-front, so the scheduler carries it across iterations).
-//! 3. **Evicts** members whose deadline expired while the batch was forming,
-//!    responding with `DeadlineExceeded { stage: Batching }` — one stale
-//!    request never rides (or delays) a fresh batch.
+//!    has no push-front, so the scheduler carries it across iterations). At
+//!    the default `max_batch` 1 / linger 0 nothing is gathered.
+//! 3. **Evicts**, when the batch lingered, members whose deadline expired
+//!    while it formed, responding with `DeadlineExceeded { stage: Batching }`
+//!    — one stale request never rides (or delays) a fresh batch.
 //! 4. **Runs** one padded multi-request forward: sequences come from the
-//!    content-addressed [`PatchCache`], are padded to the batch's longest
-//!    length, and a per-request key-padding mask keeps padding out of every
-//!    sample's attention. Attention is block-diagonal per sample, so each
-//!    response equals its solo forward (bit-exact when nothing is padded,
-//!    e.g. any batch of one).
+//!    content-addressed [`PatchCache`] when one is configured, are padded to
+//!    the batch's longest length, and a per-request key-padding mask keeps
+//!    padding out of every sample's attention. Attention is block-diagonal
+//!    per sample, so each response equals its solo forward (bit-exact when
+//!    nothing is padded, e.g. any batch of one).
 //!
-//! Deadlines are enforced at batch boundaries (pop, close, response) rather
-//! than mid-forward: a batch forward is one short graph execution shared by
-//! many requests, and cancelling it for one member would tax the others.
+//! Deadlines also bind mid-forward: the forward's cancel token carries the
+//! latest member deadline (none if any member has none), so the encoder
+//! stops between blocks only once every member has expired, and every
+//! member is then answered `DeadlineExceeded { stage: Inference }`. A batch
+//! of one is therefore cancelled exactly when its request's deadline passes.
 //!
-//! Fault-injection indexing: in batch mode `nth` counts *dispatches* on the
-//! worker (batches plus solo slides), not individual requests — a
-//! `WorkerPanic` fault fails the whole nth batch, which is exactly the blast
-//! radius a real mid-forward panic would have.
+//! Fault-injection indexing: `nth` counts *dispatches* on the worker
+//! (batches plus slides), which equals requests at batches of one. A
+//! `WorkerPanic` fault fails the whole nth batch, which is exactly the
+//! blast radius a real mid-forward panic would have.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use apf_core::patchify::PatchSequence;
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
-use apf_imaging::GrayImage;
+use apf_models::cancel::CancelToken;
 use apf_models::vit::ViTSegmenter;
 use apf_tensor::prelude::*;
 use apf_telemetry::{Counter, Histogram, Telemetry, TraceContext};
@@ -54,7 +56,7 @@ use crate::request::{DeadlineStage, FailureReason, Outcome};
 
 use super::cache::{CacheKey, ContentKey, PatchCache, VariantKey};
 
-/// Exact batch counters shared by all batch workers, mirrored outside the
+/// Exact batch counters shared by all workers, mirrored outside the
 /// telemetry registry so reports stay available with telemetry disabled.
 #[derive(Debug, Default)]
 pub struct BatchStats {
@@ -68,7 +70,7 @@ pub struct BatchStats {
 /// Snapshot of [`BatchStats`] for reports.
 #[derive(Debug, Clone, Serialize)]
 pub struct BatchStatsSnapshot {
-    /// Padded multi-request forwards executed.
+    /// Image forwards executed (a batch of one counts).
     pub batches: u64,
     /// Image requests served through those forwards.
     pub batched_requests: u64,
@@ -103,7 +105,7 @@ impl BatchStats {
 }
 
 /// Registry handles for the batching hot path; inert when telemetry is
-/// disabled. Created once per engine and shared by the batch workers.
+/// disabled. Created once per engine and shared by its workers.
 #[derive(Clone)]
 pub(crate) struct BatchTel {
     pub(crate) occupancy: Histogram,
@@ -116,7 +118,7 @@ impl BatchTel {
     pub(crate) fn new(tel: &Telemetry) -> Self {
         BatchTel {
             occupancy: tel.histogram(
-                "apf_serve_batch_occupancy_requests",
+                "apf_serve_batch_occupancy_count",
                 "Requests per executed batch forward",
             ),
             linger_s: tel.histogram(
@@ -125,7 +127,7 @@ impl BatchTel {
             ),
             batches: tel.counter(
                 "apf_serve_batches_total",
-                "Padded multi-request forwards executed",
+                "Image forwards executed (a batch of one counts)",
             ),
             deadline_evictions: tel.counter(
                 "apf_serve_batch_deadline_evictions_total",
@@ -154,27 +156,31 @@ pub(crate) fn batch_worker_loop(
     idx: usize,
     shared: &Shared,
     cfg: &ServeConfig,
-    cache: &PatchCache,
+    cache: Option<&PatchCache>,
     btel: &BatchTel,
     stats: &BatchStats,
 ) -> WorkerReport {
     let model = ViTSegmenter::new(cfg.model, cfg.model_seed);
     let mut breaker = CircuitBreaker::new(cfg.breaker);
     let mut processed: u64 = 0;
-    // Fault-plan index: one tick per dispatch (batch or solo slide).
+    // Fault-plan index: one tick per dispatch (batch or slide).
     let mut dispatches: u64 = 0;
+    // Breaker transitions already mirrored into the registry; the breaker
+    // itself stays telemetry-free.
     let mut transitions_seen = 0usize;
     // A popped request incompatible with the forming batch; it seeds the
     // next one (the bounded queue has no push-front).
     let mut carry: Option<QueuedRequest> = None;
     let poll = Duration::from_millis(cfg.poll_ms.max(1));
+    // Without a linger window there is no forming stage to miss a deadline
+    // in: an expired member meets the forward's cancel token instead.
+    let lingers = cfg.batch.max_batch > 1 && cfg.batch.batch_linger_ms > 0;
     loop {
+        // allow() can itself transition (open -> half-open after cooldown).
         let allowed = breaker.allow();
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
+        mirror_transitions(&breaker, &mut transitions_seen, &shared.tm);
         if !allowed {
+            // Open breaker: out of rotation for this poll tick.
             thread::sleep(poll);
             continue;
         }
@@ -188,149 +194,133 @@ pub(crate) fn batch_worker_loop(
         };
         shared.tm.queue_wait_s.record(seed.submitted.elapsed().as_secs_f64());
         shared.tm.queue_depth.set(shared.queue.len() as f64);
+        // Blown already? Don't waste inference on it — and don't blame the
+        // worker: deadline misses never feed the breaker.
         if seed.deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.respond(seed, Outcome::DeadlineExceeded { stage: DeadlineStage::Queued }, Some(idx));
-            continue;
-        }
-        // Slides run solo: minutes of stitching must not hold a linger
-        // window (or a formed batch) hostage.
-        if matches!(seed.payload, Payload::Slide(_)) {
-            let fault = cfg.faults.fault_for(idx, dispatches);
-            if fault.is_some() {
-                shared.tm.faults_injected.inc();
-            }
-            dispatches += 1;
-            processed += 1;
-            stats.solo_slides.fetch_add(1, Ordering::Relaxed);
             let _ctx_guard = seed.trace.map(TraceContext::install);
             let _req_span = shared.tm.tel.span_id("serve.request", seed.payload.id());
-            let outcome = {
-                let _t = shared.tm.inference_s.start_timer();
-                catch_unwind(AssertUnwindSafe(|| match &seed.payload {
-                    Payload::Slide(req) => run_slide(&model, req, seed.deadline, fault, cfg, &shared.tm),
-                    Payload::Image(_) => unreachable!("guarded by the matches! above"),
-                }))
-                .unwrap_or_else(|_| {
-                    contain_panic(idx, seed.payload.id(), cfg, &shared.tm);
-                    Outcome::WorkerFailure { reason: FailureReason::Panicked }
-                })
-            };
-            match &outcome {
-                Outcome::SlideCompleted { .. } => breaker.record_success(),
-                Outcome::WorkerFailure { .. } => breaker.record_failure(),
-                _ => {}
-            }
-            for t in &breaker.transitions()[transitions_seen..] {
-                shared.tm.record_breaker_transition(t.to);
-            }
-            transitions_seen = breaker.transitions().len();
+            let outcome = Outcome::DeadlineExceeded { stage: DeadlineStage::Queued };
             shared.respond(seed, outcome, Some(idx));
             continue;
         }
-        // Gather: close at max_batch or linger expiry, whichever first.
-        let formed_at = Instant::now();
-        let close_at = formed_at + Duration::from_millis(cfg.batch.batch_linger_ms);
         let mut batch = vec![seed];
-        while batch.len() < cfg.batch.max_batch {
-            let now = Instant::now();
-            if now >= close_at {
-                break;
-            }
-            match shared.queue.pop_timeout(close_at - now) {
-                // Closed-and-drained still has this batch to serve; the
-                // next outer pop observes Closed again and exits.
-                Popped::Closed | Popped::Empty => break,
-                Popped::Item(q) => {
-                    shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
-                    if q.deadline.is_some_and(|d| Instant::now() >= d) {
-                        // Expired before joining any batch: a queue-stage
-                        // miss, same as the solo loop would report.
-                        shared.respond(
-                            q,
-                            Outcome::DeadlineExceeded { stage: DeadlineStage::Queued },
-                            Some(idx),
-                        );
-                        continue;
-                    }
-                    let compatible =
-                        matches!(q.payload, Payload::Image(_)) && q.tier == batch[0].tier;
-                    if compatible {
-                        batch.push(q);
-                    } else {
-                        carry = Some(q);
-                        break;
+        if matches!(batch[0].payload, Payload::Image(_)) {
+            // Gather: close at max_batch or linger expiry, whichever first.
+            let formed_at = Instant::now();
+            let close_at = formed_at + Duration::from_millis(cfg.batch.batch_linger_ms);
+            while batch.len() < cfg.batch.max_batch {
+                let now = Instant::now();
+                if now >= close_at {
+                    break;
+                }
+                match shared.queue.pop_timeout(close_at - now) {
+                    // Closed-and-drained still has this batch to serve; the
+                    // next outer pop observes Closed again and exits.
+                    Popped::Closed | Popped::Empty => break,
+                    Popped::Item(q) => {
+                        shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
+                        if q.deadline.is_some_and(|d| Instant::now() >= d) {
+                            // Expired before joining any batch: a queue-stage
+                            // miss, same as an expired seed.
+                            shared.respond(
+                                q,
+                                Outcome::DeadlineExceeded { stage: DeadlineStage::Queued },
+                                Some(idx),
+                            );
+                            continue;
+                        }
+                        let compatible =
+                            matches!(q.payload, Payload::Image(_)) && q.tier == batch[0].tier;
+                        if compatible {
+                            batch.push(q);
+                        } else {
+                            carry = Some(q);
+                            break;
+                        }
                     }
                 }
             }
-        }
-        shared.tm.queue_depth.set(shared.queue.len() as f64);
-        btel.linger_s.record(formed_at.elapsed().as_secs_f64());
-        // Deadline eviction at close: a member that expired while the batch
-        // formed is answered typed and dropped, never forwarded.
-        let now = Instant::now();
-        let mut ready = Vec::with_capacity(batch.len());
-        for q in batch {
-            if q.deadline.is_some_and(|d| now >= d) {
-                stats.deadline_evictions.fetch_add(1, Ordering::Relaxed);
-                btel.deadline_evictions.inc();
-                shared.tm.tel.flight("batch_deadline_eviction", || {
-                    format!("worker={idx} id={}", q.payload.id())
-                });
-                shared.respond(
-                    q,
-                    Outcome::DeadlineExceeded { stage: DeadlineStage::Batching },
-                    Some(idx),
-                );
-            } else {
-                ready.push(q);
+            shared.tm.queue_depth.set(shared.queue.len() as f64);
+            btel.linger_s.record(formed_at.elapsed().as_secs_f64());
+            if lingers {
+                // Deadline eviction at close: a member that expired while
+                // the batch formed is answered typed and dropped, never
+                // forwarded.
+                let now = Instant::now();
+                let (expired, ready): (Vec<_>, Vec<_>) =
+                    batch.into_iter().partition(|q| q.deadline.is_some_and(|d| now >= d));
+                for q in expired {
+                    stats.deadline_evictions.fetch_add(1, Ordering::Relaxed);
+                    btel.deadline_evictions.inc();
+                    shared.tm.tel.flight("batch_deadline_eviction", || {
+                        format!("worker={idx} id={}", q.payload.id())
+                    });
+                    shared.respond(
+                        q,
+                        Outcome::DeadlineExceeded { stage: DeadlineStage::Batching },
+                        Some(idx),
+                    );
+                }
+                if ready.is_empty() {
+                    continue;
+                }
+                batch = ready;
             }
-        }
-        if ready.is_empty() {
-            continue;
+            btel.batches.inc();
+            btel.occupancy.record(batch.len() as f64);
+            stats.batches.fetch_add(1, Ordering::Relaxed);
+            stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            stats.max_occupancy.fetch_max(batch.len() as u64, Ordering::Relaxed);
+        } else {
+            stats.solo_slides.fetch_add(1, Ordering::Relaxed);
         }
         let fault = cfg.faults.fault_for(idx, dispatches);
         if fault.is_some() {
             shared.tm.faults_injected.inc();
         }
         dispatches += 1;
-        processed += ready.len() as u64;
-        btel.batches.inc();
-        btel.occupancy.record(ready.len() as f64);
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.batched_requests.fetch_add(ready.len() as u64, Ordering::Relaxed);
-        stats.max_occupancy.fetch_max(ready.len() as u64, Ordering::Relaxed);
+        processed += batch.len() as u64;
+        // The dispatch's spans join the first member's trace (queue
+        // handoff); run_batch installs every other member's trace around
+        // its own patchify span.
+        let id = batch[0].payload.id();
+        let _ctx_guard = batch[0].trace.map(TraceContext::install);
+        let _req_span = shared.tm.tel.span_id("serve.request", id);
         let outcomes = {
-            // The batch-level spans join the seed's trace; per-request
-            // patchify spans are installed per member inside run_batch.
-            let _ctx_guard = ready[0].trace.map(TraceContext::install);
-            let _span = shared.tm.tel.span_id("serve.batch", ready[0].payload.id());
+            let _span = shared.tm.tel.span_id("serve.inference", id);
             let _t = shared.tm.inference_s.start_timer();
-            catch_unwind(AssertUnwindSafe(|| {
-                run_batch(&model, &ready, fault, cfg, &shared.tm, cache)
+            catch_unwind(AssertUnwindSafe(|| match &batch[0].payload {
+                Payload::Slide(req) => {
+                    vec![run_slide(&model, req, batch[0].deadline, fault, cfg, &shared.tm)]
+                }
+                Payload::Image(_) => run_batch(&model, &batch, fault, cfg, &shared.tm, cache),
             }))
             .unwrap_or_else(|_| {
-                contain_panic(idx, ready[0].payload.id(), cfg, &shared.tm);
-                vec![Outcome::WorkerFailure { reason: FailureReason::Panicked }; ready.len()]
+                // The contained panic is exactly what the black box exists
+                // for: record it, then freeze the preceding window to disk.
+                shared.tm.tel.flight("worker_panic", || format!("worker={idx} id={id}"));
+                if let Some(dir) = &cfg.flight_dump_dir {
+                    let _ = shared.tm.tel.dump_flight(dir, &format!("panic_w{idx}_{id}"));
+                }
+                vec![Outcome::WorkerFailure { reason: FailureReason::Panicked }; batch.len()]
             })
         };
-        let any_failure = outcomes.iter().any(|o| matches!(o, Outcome::WorkerFailure { .. }));
-        let any_success = outcomes.iter().any(|o| matches!(o, Outcome::Completed { .. }));
-        if any_failure {
+        // Deadline misses and validation failures indict the request, not
+        // the worker.
+        if outcomes.iter().any(|o| matches!(o, Outcome::WorkerFailure { .. })) {
             breaker.record_failure();
-        } else if any_success {
+        } else if outcomes
+            .iter()
+            .any(|o| matches!(o, Outcome::Completed { .. } | Outcome::SlideCompleted { .. }))
+        {
             breaker.record_success();
         }
-        for t in &breaker.transitions()[transitions_seen..] {
-            shared.tm.record_breaker_transition(t.to);
-        }
-        transitions_seen = breaker.transitions().len();
-        for (q, outcome) in ready.into_iter().zip(outcomes) {
+        mirror_transitions(&breaker, &mut transitions_seen, &shared.tm);
+        for (q, outcome) in batch.into_iter().zip(outcomes) {
             shared.respond(q, outcome, Some(idx));
         }
     }
-    for t in &breaker.transitions()[transitions_seen..] {
-        shared.tm.record_breaker_transition(t.to);
-    }
+    mirror_transitions(&breaker, &mut transitions_seen, &shared.tm);
     WorkerReport {
         worker: idx,
         processed,
@@ -341,52 +331,25 @@ pub(crate) fn batch_worker_loop(
     }
 }
 
-/// Shared panic bookkeeping: flight-record the containment and freeze the
-/// black box to disk, mirroring the solo worker loop.
-fn contain_panic(idx: usize, id: u64, cfg: &ServeConfig, tm: &ServeTel) {
-    tm.tel.flight("worker_panic", || format!("worker={idx} id={id}"));
-    if let Some(dir) = &cfg.flight_dump_dir {
-        let _ = tm.tel.dump_flight(dir, &format!("panic_w{idx}_{id}"));
+/// Mirrors the breaker transitions not yet seen into the registry.
+fn mirror_transitions(breaker: &CircuitBreaker, seen: &mut usize, tm: &ServeTel) {
+    for t in &breaker.transitions()[*seen..] {
+        tm.record_breaker_transition(t.to);
     }
-}
-
-/// Builds one request's budgeted patch sequence — the unit the cache
-/// memoizes. The random Z-order drop is seeded by *content* (not request
-/// id), so identical pixels under identical knobs always produce the same
-/// sequence and the cached entry is valid for every requester.
-fn build_sequence(
-    img: &GrayImage,
-    tier: Tier,
-    budget: usize,
-    pm: usize,
-    coarse_leaf: u32,
-    tel: &Telemetry,
-    drop_seed: u64,
-) -> Result<PatchSequence, String> {
-    let seq = match tier {
-        Tier::Coarse => coarse_uniform_sequence(img, coarse_leaf, pm),
-        Tier::Full | Tier::Reduced => {
-            let pc = PatcherConfig::for_resolution(img.width()).with_patch_size(pm);
-            AdaptivePatcher::with_telemetry(pc, tel.clone())
-                .try_patchify(img)
-                .map_err(|e| e.to_string())?
-        }
-    };
-    // Enforce the budget by dropping, never padding — identical to the solo
-    // path except for the content-derived drop seed.
-    Ok(if seq.len() > budget { seq.fixed_length(budget, drop_seed) } else { seq })
+    *seen = breaker.transitions().len();
 }
 
 /// One padded multi-request forward over a tier-homogeneous batch of image
-/// requests. Runs inside the worker's unwind barrier. Returns one outcome
-/// per request, aligned with `batch`.
+/// requests. Runs inside the worker's unwind barrier; a panic here
+/// (injected or real) becomes a `WorkerFailure { Panicked }` for every
+/// member. Returns one outcome per request, aligned with `batch`.
 fn run_batch(
     model: &ViTSegmenter,
     batch: &[QueuedRequest],
     fault: Option<InferenceFaultKind>,
     cfg: &ServeConfig,
     tm: &ServeTel,
-    cache: &PatchCache,
+    cache: Option<&PatchCache>,
 ) -> Vec<Outcome> {
     if let Some(InferenceFaultKind::SlowInference { delay_ms }) = fault {
         thread::sleep(Duration::from_millis(delay_ms));
@@ -396,12 +359,10 @@ fn run_batch(
     }
     let pm = cfg.patch_size;
     let tier = batch[0].tier;
-    // Preprocessing, memoized by content: a repeated slide skips blur,
-    // Canny, quadtree, and projection; identical in-flight requests build
-    // once (single-flight) even across batch workers.
     let seqs: Vec<Result<Arc<PatchSequence>, String>> = batch
         .iter()
-        .map(|q| {
+        .enumerate()
+        .map(|(i, q)| {
             let req = match &q.payload {
                 Payload::Image(r) => r,
                 Payload::Slide(_) => unreachable!("slides are never batched"),
@@ -411,8 +372,40 @@ fn run_batch(
                 .budget_for(tier, req.image.width())
                 .min(cfg.model.seq_len)
                 .max(1);
+            // The first member's trace is already installed around the
+            // dispatch; installing it again would lift its patchify span out
+            // from under serve.inference.
+            let _ctx_guard = q.trace.filter(|_| i > 0).map(TraceContext::install);
+            let _span = tm.tel.span_id("serve.patchify", req.id);
+            // The budgeted sequence — the unit the cache memoizes. Budgets
+            // are enforced by dropping, never padding: a shorter sequence
+            // plus prefix positions is strictly cheaper than padding back to
+            // `L`. validate_input already passed at admission, but tier
+            // logic must stay total: surface patchify errors, don't panic.
+            let img = &req.image;
+            let build = |drop_seed| -> Result<PatchSequence, String> {
+                let seq = match tier {
+                    Tier::Coarse => coarse_uniform_sequence(img, cfg.policy.coarse_leaf, pm),
+                    Tier::Full | Tier::Reduced => {
+                        let pc = PatcherConfig::for_resolution(img.width()).with_patch_size(pm);
+                        // Core stage spans nest inside this request's tree.
+                        AdaptivePatcher::with_telemetry(pc, tm.tel.clone())
+                            .try_patchify(img)
+                            .map_err(|e| e.to_string())?
+                    }
+                };
+                Ok(if seq.len() > budget { seq.fixed_length(budget, drop_seed) } else { seq })
+            };
+            let Some(cache) = cache else {
+                // No cache, no hashing: the drop is seeded by the request id.
+                return build(req.id).map(Arc::new);
+            };
+            // Memoized by content: a repeated slide skips blur, Canny,
+            // quadtree, and projection; identical in-flight requests build
+            // once (single-flight) even across workers. The drop is seeded
+            // by content, so the entry is valid for every requester.
             let key = CacheKey {
-                content: ContentKey::of_image(&req.image),
+                content: ContentKey::of_image(img),
                 variant: VariantKey {
                     tier_rank: tier.rank(),
                     patch_size: pm as u16,
@@ -420,21 +413,7 @@ fn run_batch(
                     coarse_leaf: cfg.policy.coarse_leaf,
                 },
             };
-            let _ctx_guard = q.trace.map(TraceContext::install);
-            let _span = tm.tel.span_id("serve.patchify", req.id);
-            cache
-                .get_or_build(key, || {
-                    build_sequence(
-                        &req.image,
-                        tier,
-                        budget,
-                        pm,
-                        cfg.policy.coarse_leaf,
-                        &tm.tel,
-                        key.drop_seed(),
-                    )
-                })
-                .map(|(seq, _)| seq)
+            cache.get_or_build(key, || build(key.drop_seed())).map(|(seq, _)| seq)
         })
         .collect();
     let mut outcomes: Vec<Option<Outcome>> = seqs
@@ -474,11 +453,24 @@ fn run_batch(
         // An all-real mask is the identity; skip it so uniform batches (and
         // every batch of one) run the exact unmasked solo graph, bit for bit.
         let key_mask = if any_padding { Some(masks.as_slice()) } else { None };
+        // Cancel only once every member has expired: the latest member
+        // deadline, or none if any member has none.
+        let latest = live.iter().try_fold(None, |acc: Option<Instant>, (i, _)| {
+            Some(acc.max(Some(batch[*i].deadline?)))
+        });
+        let cancel = latest.flatten().map_or_else(CancelToken::new, CancelToken::with_deadline);
         let _fwd_span = tm.tel.span_id("serve.forward", batch[live[0].0].payload.id());
         let mut g = Graph::new();
         let bp = model.params.bind(&mut g);
         let x = g.constant(Tensor::new([b, l_max, d_in], data));
-        let y = model.forward_batched(&mut g, &bp, x, key_mask);
+        let y = match model.forward_masked(&mut g, &bp, x, key_mask, &cancel) {
+            Ok(y) => y,
+            Err(c) => {
+                let stage = DeadlineStage::Inference { completed_blocks: c.completed_blocks };
+                let cancelled = Outcome::DeadlineExceeded { stage };
+                return outcomes.into_iter().map(|o| o.unwrap_or(cancelled.clone())).collect();
+            }
+        };
         let out = g.value(y);
         let c = out.dims()[2];
         let vals = out.to_vec();

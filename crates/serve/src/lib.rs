@@ -26,9 +26,11 @@
 //!   over TCP with per-connection deadlines, per-tenant token-bucket
 //!   quotas, graceful drain with terminal `GoAway`s, and a retrying
 //!   backoff-aware client ([`wire`]).
-//! * **Continuous batching + content-addressed caching** — workers drain
-//!   the queue into padded multi-request forwards (per-request key-padding
-//!   masks keep every answer numerically equivalent to its solo forward),
+//! * **Continuous batching + content-addressed caching** — every worker
+//!   runs the batch scheduler (batches of one by default); opted in, it
+//!   drains the queue into padded multi-request forwards (per-request
+//!   key-padding masks keep every answer numerically equivalent to its solo
+//!   forward),
 //!   and a byte-budgeted cache keyed by image content memoizes quadtree
 //!   builds across repeated slides with single-flight dedup ([`batch`]).
 //!

@@ -1,16 +1,23 @@
-//! Engine-level behavior of the continuous-batching scheduler: batches
-//! actually form, repeated slides hit the preprocessing cache, deadline
-//! expiry inside the linger window is a typed `Batching`-stage miss, an
-//! injected NaN stays confined to its batch sample, and backpressure hints
-//! grow once a linger window stands between admission and inference.
+//! Engine-level behavior of the batch scheduler: batches actually form,
+//! repeated slides hit the preprocessing cache, deadline expiry inside the
+//! linger window is a typed `Batching`-stage miss while a stall past every
+//! member's deadline cancels the forward, an injected NaN stays confined to
+//! its batch sample, the budget drop is seeded as documented, and
+//! backpressure hints grow once a linger window stands between admission
+//! and inference.
 
 use std::time::Duration;
 
+use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_imaging::GrayImage;
+use apf_models::cancel::CancelToken;
+use apf_models::vit::ViTSegmenter;
 use apf_serve::{
-    batch_aware_retry_after, DeadlineStage, FailureReason, InferenceFault, InferenceFaultKind,
-    Outcome, SegRequest, ServeConfig, ServeEngine, ServeFaultPlan,
+    batch_aware_retry_after, BatchConfig, CacheKey, ContentKey, DeadlineStage, FailureReason,
+    InferenceFault, InferenceFaultKind, Outcome, SegRequest, ServeConfig, ServeEngine,
+    ServeFaultPlan, VariantKey,
 };
+use apf_tensor::prelude::*;
 
 fn test_image(seed: u64) -> GrayImage {
     GrayImage::from_fn(64, 64, move |x, y| (((x as u64 ^ y as u64) + seed) % 16) as f32 / 15.0)
@@ -150,4 +157,80 @@ fn retry_hints_account_for_the_linger_window() {
     assert_eq!(hinted, batch_aware_retry_after(base, batched.queue_depth(), 4, 50));
     plain.shutdown();
     batched.shutdown();
+}
+
+/// Outcomes of requests with `deadlines` (ms) submitted at once to a
+/// one-worker engine whose first dispatch stalls 300 ms, past every
+/// deadline used below.
+fn stalled_outcomes(mut cfg: ServeConfig, deadlines: &[Option<u64>]) -> Vec<Outcome> {
+    cfg.workers = 1;
+    let stall = InferenceFaultKind::SlowInference { delay_ms: 300 };
+    cfg.faults = ServeFaultPlan::none().with_burst(0, 0, 1, stall);
+    let engine = ServeEngine::start(cfg);
+    let submit = |(id, &deadline_ms)| {
+        engine.submit(SegRequest { id, image: test_image(id), deadline_ms })
+    };
+    let tickets: Vec<_> = (0..).zip(deadlines).map(submit).collect();
+    tickets.into_iter().map(|t| t.wait().expect("engine responds").outcome).collect()
+}
+
+const CANCELLED: Outcome =
+    Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { completed_blocks: 0 } };
+
+/// At the default batches of one, a stall past the deadline cancels the
+/// forward before its first encoder block.
+#[test]
+fn default_engine_cancels_a_forward_whose_deadline_passed() {
+    assert_eq!(stalled_outcomes(ServeConfig::small(), &[Some(150)]), [CANCELLED]);
+}
+
+/// A batch is cancelled only once every member has expired, and then every
+/// member reports the `Inference` stage; one member without a deadline
+/// carries the whole batch to completion.
+#[test]
+fn a_batch_is_cancelled_only_when_every_member_has_expired() {
+    let cfg = ServeConfig::small_batched(4, 50);
+    assert_eq!(stalled_outcomes(cfg.clone(), &[Some(150); 3]), [CANCELLED; 3]);
+    let outcomes = stalled_outcomes(cfg, &[Some(150), None, Some(150)]);
+    assert!(
+        outcomes.iter().all(|o| matches!(o, Outcome::Completed { .. })),
+        "got {outcomes:?}"
+    );
+}
+
+/// A Full-tier request over its token budget is served bit-identically to
+/// the offline forward on `fixed_length(budget, seed)`, where the seed is
+/// the request id without a cache and the content key's with one.
+#[test]
+fn budget_drop_is_seeded_by_request_id_without_a_cache_and_by_content_with_one() {
+    let image = GrayImage::from_fn(64, 64, |x, y| (((x / 3) ^ (y / 5)) & 1) as f32);
+    let (id, budget) = (77, 16);
+    let mut answers = Vec::new();
+    for batch in [BatchConfig::default(), BatchConfig::enabled(1, 0)] {
+        let mut cfg = ServeConfig { batch, ..ServeConfig::small() };
+        cfg.policy.full_len = budget;
+        let engine = ServeEngine::start(cfg.clone());
+        let served = engine.submit(SegRequest { id, image: image.clone(), deadline_ms: None });
+        let served = served.wait().expect("engine responds").outcome;
+        engine.shutdown();
+        let pc = PatcherConfig::for_resolution(64).with_patch_size(cfg.patch_size);
+        let seq = AdaptivePatcher::new(pc).try_patchify(&image).expect("valid image");
+        assert!(seq.len() > budget, "the budget must drop tokens, got {}", seq.len());
+        let variant = VariantKey { tier_rank: 0, patch_size: 4, budget: 16, coarse_leaf: 16 };
+        let content = ContentKey::of_image(&image);
+        let cached = cfg.batch.cache_budget_bytes > 0;
+        let drop_seed = if cached { CacheKey { content, variant }.drop_seed() } else { id };
+        let seq = seq.fixed_length(budget, drop_seed);
+        let model = ViTSegmenter::new(cfg.model, cfg.model_seed);
+        let mut g = Graph::new();
+        let bp = model.params.bind(&mut g);
+        let x = g.constant(seq.to_tensor().reshape([1, budget, cfg.patch_size * cfg.patch_size]));
+        let y = model.forward_cancellable(&mut g, &bp, x, &CancelToken::new()).unwrap();
+        let vals = g.value(y).to_vec();
+        let positive = vals.iter().filter(|v| **v > 0.0).count();
+        let positive_fraction = positive as f32 / vals.len() as f32;
+        assert_eq!(served, Outcome::Completed { tokens: budget, positive_fraction });
+        answers.push(positive_fraction);
+    }
+    assert_ne!(answers[0], answers[1], "the two seeds must select different tokens here");
 }

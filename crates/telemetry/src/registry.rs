@@ -874,6 +874,15 @@ mod tests {
             ("apf_serve_wire_drains_total", false),
             ("apf_serve_wire_draining", false),
             ("apf_serve_wire_drain_connections", false),
+            // Every engine registers the batch scheduler's series.
+            ("apf_serve_batch_occupancy_count", true),
+            ("apf_serve_batch_linger_seconds", true),
+            ("apf_serve_batches_total", false),
+            ("apf_serve_batch_deadline_evictions_total", false),
+            ("apf_serve_batch_cache_lookups_total", false),
+            ("apf_serve_batch_cache_evictions_total", false),
+            ("apf_serve_batch_cache_resident_bytes", false),
+            ("apf_serve_batch_cache_resident_entries", false),
         ] {
             lint_metric_name(name, is_hist).unwrap_or_else(|e| panic!("{name}: {e}"));
         }

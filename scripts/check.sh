@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo test -q perfbench (its own workspace: --workspace never compiles it)"
+cargo test --locked -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -73,6 +76,8 @@ grep -q '"speedup_ok": true' results/batch_bench.json \
   || { echo "batch_bench: batched throughput below 2x baseline" >&2; exit 1; }
 grep -q '"cache_hit_rate_ok": true' results/batch_bench.json \
   || { echo "batch_bench: cache hit rate below 90%" >&2; exit 1; }
+grep -q '"baseline_uncached": true' results/batch_bench.json \
+  || { echo "batch_bench: baseline was not uncached batches of one" >&2; exit 1; }
 
 echo "==> frontdoor_soak --scale gate (>= 1e5 batched requests, zero failures, >= 90% cache hits)"
 rm -f results/frontdoor_soak_scale.json
