@@ -8,9 +8,10 @@
 //!         [--steps 8] [--crash-step 3] [--workers 3] [--batch 6]`
 
 use apf_bench::{print_table, save_json, Args};
+use apf_core::fault::{Fault, FaultPlan};
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_distsim::engine::DataParallelEngine;
-use apf_distsim::fault::{FaultEvent, FaultKind, FaultPlan};
+use apf_distsim::fault::FaultKind;
 use apf_imaging::paip::{PaipConfig, PaipGenerator};
 use apf_models::rearrange::GridOrder;
 use apf_models::unetr::{Unetr2d, UnetrConfig};
@@ -59,8 +60,8 @@ fn main() {
 
     // ---- Faulted run: corruption at step 1, crash at `crash_step` ----
     let plan = FaultPlan::new(vec![
-        FaultEvent { step: 1, kind: FaultKind::GradCorruption { rank: 0 } },
-        FaultEvent { step: crash_step, kind: FaultKind::WorkerCrash { rank: 1 } },
+        Fault { lane: 0, nth: 1, kind: FaultKind::GradCorruption },
+        Fault { lane: 1, nth: crash_step, kind: FaultKind::WorkerCrash },
     ]);
     let mut engine = DataParallelEngine::new(factory, workers, AdamWConfig::default())
         .with_fault_plan(plan);

@@ -36,15 +36,15 @@ use std::time::{Duration, Instant};
 
 use apf_bench::report::results_dir;
 use apf_bench::{print_table, save_atomic, save_json, Args};
+use apf_core::fault::FaultPlan;
 use apf_serve::wire::{
-    read_frame, AdminRequest, ClientConfig, ClientError, FrameKind, NetFaultPlan, NetFaultRates,
-    QuotaConfig, QuotaLimit, TenantAccount, WireClient, WireConfig, WireRequest, WireServer,
-    WireStatus, DEFAULT_MAX_PAYLOAD,
+    read_frame, AdminRequest, ClientConfig, ClientError, FrameKind, NetFaultKind, QuotaConfig,
+    QuotaLimit, TenantAccount, WireClient, WireConfig, WireRequest, WireServer, WireStatus,
+    DEFAULT_MAX_PAYLOAD,
 };
 use apf_serve::{
-    BatchConfig, BatchStatsSnapshot, BreakerConfig, CacheStats, DegradationPolicy, InferenceFault,
-    InferenceFaultKind, ServeConfig, ServeEngine, ServeFaultPlan, ServeFaultRates, ServeMetrics,
-    WorkerReport,
+    BatchConfig, BatchStatsSnapshot, BreakerConfig, CacheStats, DegradationPolicy,
+    InferenceFaultKind, ServeConfig, ServeEngine, ServeMetrics, WorkerReport,
 };
 use apf_telemetry::{Telemetry, TelemetrySnapshot};
 use rand::{Rng, SeedableRng};
@@ -246,7 +246,7 @@ fn run_scale_soak(args: &Args) {
         poll_ms: 1,
         breaker: BreakerConfig::default(),
         policy,
-        faults: ServeFaultPlan::none(),
+        faults: FaultPlan::none(),
         batch: BatchConfig::enabled(max_batch, batch_linger_ms),
         telemetry: tel.clone(),
         flight_dump_dir: None,
@@ -434,22 +434,11 @@ fn main() {
     // statuses cross the wire too.
     let tel = Telemetry::enabled();
     let policy = DegradationPolicy::default();
-    let mut engine_fault_events = ServeFaultPlan::random(
-        seed ^ 0xE6,
-        clients as u64 * requests,
-        2,
-        ServeFaultRates::default(),
-    )
-    .events()
-    .to_vec();
     // One guaranteed worker panic, so the flight-recorder dump the gate
     // requires exists regardless of what the seeded plan drew.
-    engine_fault_events.push(InferenceFault {
-        worker: 0,
-        nth: 3,
-        kind: InferenceFaultKind::WorkerPanic,
-    });
-    let engine_faults = ServeFaultPlan::new(engine_fault_events);
+    let engine_faults =
+        FaultPlan::random(seed ^ 0xE6, 2, clients as u64 * requests, InferenceFaultKind::draw)
+            .with_burst(0, 3, 1, InferenceFaultKind::WorkerPanic);
     let injected_engine_faults = engine_faults.events().len();
 
     // Stale flight dumps from a previous run would satisfy the end-of-run
@@ -623,9 +612,9 @@ fn main() {
         let fault_plan = if tenant == poor_tenant {
             // The starved tenant keeps a clean wire so its rejections are
             // unambiguously quota rejections.
-            NetFaultPlan::none()
+            FaultPlan::none()
         } else {
-            NetFaultPlan::random(client_seed, requests * 4, NetFaultRates::default())
+            FaultPlan::random(client_seed, 1, requests * 4, NetFaultKind::draw)
         };
         injected_socket_faults += fault_plan.events().len();
         let slide_path = slide_path.clone();

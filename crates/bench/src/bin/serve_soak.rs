@@ -19,11 +19,12 @@
 //!         [--steps 200] [--seed 7] [--workers 2] [--capacity 8] [--quick]`
 
 use apf_bench::{print_table, save_atomic, save_json, Args};
+use apf_core::fault::FaultPlan;
 use apf_imaging::GrayImage;
 use apf_serve::{
-    BatchConfig, BreakerConfig, BreakerState, DegradationPolicy, InferenceFault,
-    InferenceFaultKind, Outcome, SegRequest, SegResponse, ServeConfig, ServeEngine, ServeFaultPlan,
-    ServeFaultRates, ServeMetrics, ServeReport, SlideRequest, Tier, Ticket, WorkerReport,
+    BatchConfig, BreakerConfig, BreakerState, DegradationPolicy, InferenceFaultKind, Outcome,
+    SegRequest, SegResponse, ServeConfig, ServeEngine, ServeMetrics, ServeReport, SlideRequest,
+    Tier, Ticket, WorkerReport,
 };
 use apf_telemetry::{validate_jsonl, HistogramSnapshot, Telemetry, TelemetrySnapshot};
 use rand::{Rng, SeedableRng};
@@ -147,14 +148,9 @@ fn main() {
     // breaker — and nothing else, so its half-open probes are guaranteed to
     // succeed and the run deterministically witnesses a full
     // open -> half-open -> closed recovery cycle.
-    let random = ServeFaultPlan::random(seed, steps, workers, ServeFaultRates::default());
-    let side_faults: Vec<InferenceFault> = random
-        .events()
-        .iter()
-        .copied()
-        .filter(|e| e.worker != 0)
-        .collect();
-    let plan = ServeFaultPlan::new(side_faults).with_burst(
+    let random = FaultPlan::random(seed, workers, steps, InferenceFaultKind::draw);
+    let side_faults = random.events().iter().copied().filter(|e| e.lane != 0).collect();
+    let plan = FaultPlan::new(side_faults).with_burst(
         0,
         1,
         breaker.failure_threshold as u64,

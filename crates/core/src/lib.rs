@@ -33,6 +33,7 @@
 
 pub mod crc32;
 pub mod error;
+pub mod fault;
 pub mod morton;
 pub mod patchify;
 pub mod pipeline;
@@ -43,6 +44,7 @@ pub mod viz;
 
 pub use crc32::{crc32, crc32_f32, Crc32};
 pub use error::PatchError;
+pub use fault::{Fault, FaultPlan};
 pub use morton::{morton_decode, morton_encode};
 pub use patchify::{extract_patches, reconstruct_mask, Patch, PatchSequence};
 pub use pipeline::{AdaptivePatcher, PatcherConfig, PreprocessTiming};

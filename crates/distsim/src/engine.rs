@@ -12,8 +12,8 @@
 //!
 //! ## Fault tolerance
 //!
-//! The engine consults a [`FaultPlan`] at the start of every step and
-//! survives what it finds there:
+//! The engine consults a [`FaultPlan`], keyed `(rank, step)`, at the start
+//! of every step and survives what it finds there:
 //!
 //! - **Worker crashes** remove the replica permanently; the collective is
 //!   rebuilt over the survivors and the batch re-sharded (unevenly if
@@ -33,6 +33,7 @@
 use std::io;
 use std::path::Path;
 
+use apf_core::fault::FaultPlan;
 use apf_models::checkpoint::{self, CheckpointError};
 use apf_models::params::{ParamId, ParamSet};
 use apf_telemetry::{Counter, Gauge, Histogram, Telemetry};
@@ -43,7 +44,7 @@ use apf_train::optim::{AdamW, AdamWConfig};
 use apf_train::trainer::TokenSegModel;
 
 use crate::allreduce::{ring_allreduce_mean, ring_allreduce_mean_checked};
-use crate::fault::{FaultKind, FaultPlan, RecoveryEvent};
+use crate::fault::{FaultKind, RecoveryEvent};
 
 /// Flattens ordered per-parameter gradients into one buffer (ring input).
 fn flatten_grads(params: &ParamSet, grads: &[(ParamId, Tensor)]) -> Vec<f32> {
@@ -162,7 +163,7 @@ pub struct DataParallelEngine<M: TokenSegModel + Send> {
     master: ParamSet,
     opt: AdamW,
     loss_cfg: ComboLossConfig,
-    fault_plan: FaultPlan,
+    fault_plan: FaultPlan<FaultKind>,
     step_idx: u64,
     trace: Vec<RecoveryEvent>,
     max_comm_retries: u32,
@@ -205,7 +206,7 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
     }
 
     /// Installs a fault schedule (see [`FaultPlan`]); builder style.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+    pub fn with_fault_plan(mut self, plan: FaultPlan<FaultKind>) -> Self {
         self.fault_plan = plan;
         self
     }
@@ -279,11 +280,13 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
     /// worker position: (straggler delay ms, corrupt outgoing traffic,
     /// poison gradients with NaN).
     fn apply_faults(&mut self, step: u64) -> (Vec<u64>, Vec<usize>, Vec<usize>) {
-        let events: Vec<_> = self.fault_plan.events_at(step).copied().collect();
+        let faults: Vec<(usize, FaultKind)> = (0..self.initial_workers)
+            .filter_map(|rank| self.fault_plan.fault_for(rank, step).map(|kind| (rank, kind)))
+            .collect();
         // Crashes first: the surviving positions shift, and the remaining
         // events target the post-crash topology.
-        for e in &events {
-            if let FaultKind::WorkerCrash { rank } = e.kind {
+        for &(rank, kind) in &faults {
+            if kind == FaultKind::WorkerCrash {
                 let Some(pos) = self.orig_rank.iter().position(|&r| r == rank) else {
                     continue; // already dead
                 };
@@ -303,18 +306,18 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
         let mut delays = vec![0u64; self.replicas.len()];
         let mut corrupt = Vec::new();
         let mut poison = Vec::new();
-        for e in &events {
-            let Some(pos) = self.orig_rank.iter().position(|&r| r == e.kind.rank()) else {
+        for &(rank, kind) in &faults {
+            let Some(pos) = self.orig_rank.iter().position(|&r| r == rank) else {
                 continue; // targets a dead worker
             };
-            match e.kind {
-                FaultKind::WorkerCrash { .. } => {}
-                FaultKind::GradCorruption { .. } => corrupt.push(pos),
-                FaultKind::Straggler { rank, delay_ms } => {
+            match kind {
+                FaultKind::WorkerCrash => {}
+                FaultKind::GradCorruption => corrupt.push(pos),
+                FaultKind::Straggler { delay_ms } => {
                     delays[pos] = delay_ms;
                     self.trace.push(RecoveryEvent::StragglerObserved { step, rank, delay_ms });
                 }
-                FaultKind::NanGrad { .. } => poison.push(pos),
+                FaultKind::NanGrad => poison.push(pos),
             }
         }
         (delays, corrupt, poison)
@@ -538,11 +541,13 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultEvent, FaultRates};
+    use apf_core::fault::Fault;
     use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
     use apf_imaging::paip::{PaipConfig, PaipGenerator};
     use apf_models::rearrange::GridOrder;
     use apf_models::unetr::{Unetr2d, UnetrConfig};
+    use rand::Rng;
+    use rand_chacha::ChaCha8Rng;
 
     fn dataset(n: usize) -> TokenSegDataset {
         let gen = PaipGenerator::new(PaipConfig::at_resolution(64));
@@ -744,10 +749,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let ckpt = dir.join("step2.apf2");
 
-        let plan = FaultPlan::new(vec![FaultEvent {
-            step: 2,
-            kind: FaultKind::WorkerCrash { rank: 1 },
-        }]);
+        let plan = FaultPlan::new(vec![Fault { lane: 1, nth: 2, kind: FaultKind::WorkerCrash }]);
         let mut faulted = DataParallelEngine::new(factory, 3, cfg).with_fault_plan(plan);
         let mut faulted_losses = Vec::new();
         for step in 0..5u64 {
@@ -809,10 +811,7 @@ mod tests {
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
         let bce_only = ComboLossConfig { bce_weight: 1.0, epsilon: 1.0 };
 
-        let plan = FaultPlan::new(vec![FaultEvent {
-            step: 0,
-            kind: FaultKind::WorkerCrash { rank: 3 },
-        }]);
+        let plan = FaultPlan::new(vec![Fault { lane: 3, nth: 0, kind: FaultKind::WorkerCrash }]);
         let mut degraded = DataParallelEngine::new(vit_factory, 4, cfg).with_fault_plan(plan);
         degraded.set_loss(bce_only);
         let mut single = DataParallelEngine::new(vit_factory, 1, cfg);
@@ -850,10 +849,7 @@ mod tests {
         let (x, y) = ds.batch(&[0, 1, 2, 3]);
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
 
-        let plan = FaultPlan::new(vec![FaultEvent {
-            step: 1,
-            kind: FaultKind::GradCorruption { rank: 1 },
-        }]);
+        let plan = FaultPlan::new(vec![Fault { lane: 1, nth: 1, kind: FaultKind::GradCorruption }]);
         let mut faulted = DataParallelEngine::new(factory, 2, cfg).with_fault_plan(plan);
         let mut clean = DataParallelEngine::new(factory, 2, cfg);
 
@@ -879,9 +875,9 @@ mod tests {
         let (x, y) = ds.batch(&[0, 1, 2, 3]);
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
         let plan = FaultPlan::new(vec![
-            FaultEvent { step: 1, kind: FaultKind::GradCorruption { rank: 1 } },
-            FaultEvent { step: 2, kind: FaultKind::NanGrad { rank: 0 } },
-            FaultEvent { step: 3, kind: FaultKind::WorkerCrash { rank: 1 } },
+            Fault { lane: 1, nth: 1, kind: FaultKind::GradCorruption },
+            Fault { lane: 0, nth: 2, kind: FaultKind::NanGrad },
+            Fault { lane: 1, nth: 3, kind: FaultKind::WorkerCrash },
         ]);
         let tel = apf_telemetry::Telemetry::enabled();
         let mut e = DataParallelEngine::new(factory, 2, cfg)
@@ -931,10 +927,7 @@ mod tests {
         let ds = dataset(4);
         let (x, y) = ds.batch(&[0, 1, 2, 3]);
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
-        let plan = FaultPlan::new(vec![FaultEvent {
-            step: 1,
-            kind: FaultKind::NanGrad { rank: 0 },
-        }]);
+        let plan = FaultPlan::new(vec![Fault { lane: 0, nth: 1, kind: FaultKind::NanGrad }]);
         let mut e = DataParallelEngine::new(factory, 2, cfg).with_fault_plan(plan);
 
         e.step(&x, &y);
@@ -962,9 +955,10 @@ mod tests {
         let ds = dataset(4);
         let (x, y) = ds.batch(&[0, 1, 2, 3]);
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
-        let plan = FaultPlan::new(vec![FaultEvent {
-            step: 0,
-            kind: FaultKind::Straggler { rank: 1, delay_ms: 20 },
+        let plan = FaultPlan::new(vec![Fault {
+            lane: 1,
+            nth: 0,
+            kind: FaultKind::Straggler { delay_ms: 20 },
         }]);
         let mut slow = DataParallelEngine::new(factory, 2, cfg).with_fault_plan(plan);
         let mut clean = DataParallelEngine::new(factory, 2, cfg);
@@ -984,14 +978,19 @@ mod tests {
         let ds = dataset(4);
         let (x, y) = ds.batch(&[0, 1, 2, 3]);
         let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
-        let rates = FaultRates {
-            crash: 0.05,
-            corruption: 0.1,
-            straggler: 0.1,
-            straggler_ms: (1, 3),
+        let draw = |rng: &mut ChaCha8Rng| {
+            if rng.gen_bool(0.05) {
+                Some(FaultKind::WorkerCrash)
+            } else if rng.gen_bool(0.1) {
+                Some(FaultKind::GradCorruption)
+            } else if rng.gen_bool(0.1) {
+                Some(FaultKind::Straggler { delay_ms: rng.gen_range(1..=3) })
+            } else {
+                None
+            }
         };
         let run = |seed: u64| {
-            let plan = FaultPlan::random(seed, 6, 4, rates);
+            let plan = FaultPlan::random(seed, 4, 6, draw);
             let mut e = DataParallelEngine::new(factory, 4, cfg).with_fault_plan(plan);
             let mut losses = Vec::new();
             for _ in 0..6 {
@@ -1005,5 +1004,31 @@ mod tests {
         assert_eq!(t1, t2, "recovery traces must be deterministic");
         assert_eq!(l1, l2, "loss trajectories must be deterministic");
         assert_eq!(p1, p2, "final parameters must be deterministic");
+    }
+
+    #[test]
+    fn crashing_every_rank_at_once_leaves_one_survivor() {
+        let ds = dataset(4);
+        let (x, y) = ds.batch(&[0, 1, 2, 3]);
+        let cfg = AdamWConfig { lr: 1e-3, ..Default::default() };
+        let world = 4;
+        let plan = FaultPlan::new(
+            (0..world).map(|lane| Fault { lane, nth: 1, kind: FaultKind::WorkerCrash }).collect(),
+        );
+        let mut e = DataParallelEngine::new(factory, world, cfg).with_fault_plan(plan);
+        e.step(&x, &y);
+        let r = e.step(&x, &y);
+        assert_eq!(r.world_size, 1, "the last replica is never removed");
+        let lost = e
+            .recovery_trace()
+            .iter()
+            .filter(|ev| matches!(ev, RecoveryEvent::WorkerLost { .. }))
+            .count();
+        assert_eq!(lost, world - 1);
+        let before = params_bits(e.master_params());
+        let r2 = e.step(&x, &y);
+        assert_eq!(r2.world_size, 1);
+        assert!(r2.loss.is_finite());
+        assert_ne!(before, params_bits(e.master_params()), "the survivor keeps training");
     }
 }

@@ -8,10 +8,9 @@
 //!
 //! Three layers:
 //!
-//! - [`FabricFaultPlan`] — per-`(worker, nth-item)` injected panics and
-//!   stragglers, mirroring `apf-serve`'s `ServeFaultPlan` keying (the
-//!   engine's [`crate::FaultPlan`] is step-keyed and does not fit a pool
-//!   where workers process different numbers of items).
+//! - [`FabricFaultKind`] — injected panics and stragglers, scheduled by an
+//!   [`apf_core::fault::FaultPlan`] keyed `(worker, nth-item-started)`, so
+//!   a fault's timing does not depend on how many items other workers take.
 //! - [`StealScheduler`] — the shared queue discipline: each worker owns a
 //!   deque seeded with a contiguous block of item indices, pops its own
 //!   front, and when empty steals from the back of the longest surviving
@@ -33,9 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
+use apf_core::fault::FaultPlan;
 use apf_telemetry::{Telemetry, TraceContext};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Thread-name prefix of fabric workers; used by the quiet panic hook.
 pub const FABRIC_THREAD_PREFIX: &str = "apf-fabric-worker";
@@ -52,109 +50,6 @@ pub enum FabricFaultKind {
         /// Injected delay in milliseconds.
         delay_ms: u64,
     },
-}
-
-/// A fault scheduled for the `nth` item a given worker picks up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricFaultEvent {
-    /// Worker index the fault targets.
-    pub worker: usize,
-    /// 0-based count of items this worker has started when the fault fires.
-    pub nth: u64,
-    /// What happens.
-    pub kind: FabricFaultKind,
-}
-
-/// Probabilities for [`FabricFaultPlan::random`], per worker-item.
-#[derive(Debug, Clone, Copy)]
-pub struct FabricFaultRates {
-    /// Probability a worker panics on a given item.
-    pub panic: f64,
-    /// Probability a worker straggles on a given item.
-    pub straggler: f64,
-    /// Straggler delay range in milliseconds.
-    pub straggler_ms: (u64, u64),
-}
-
-impl Default for FabricFaultRates {
-    fn default() -> Self {
-        FabricFaultRates { panic: 0.01, straggler: 0.05, straggler_ms: (1, 10) }
-    }
-}
-
-/// A deterministic `(worker, nth)`-keyed schedule of fabric faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricFaultPlan {
-    events: Vec<FabricFaultEvent>,
-}
-
-impl FabricFaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        FabricFaultPlan::default()
-    }
-
-    /// Builds a plan from explicit events (sorted for binary lookup).
-    pub fn new(mut events: Vec<FabricFaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.worker, e.nth));
-        events.dedup_by_key(|e| (e.worker, e.nth));
-        FabricFaultPlan { events }
-    }
-
-    /// Seeded random plan over `per_worker` items on each of `workers`
-    /// workers. At most `workers - 1` panics are scheduled so the pool
-    /// never empties. Same inputs, same plan.
-    pub fn random(seed: u64, per_worker: u64, workers: usize, rates: FabricFaultRates) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut events = Vec::new();
-        let mut panics = 0usize;
-        for worker in 0..workers {
-            for nth in 0..per_worker {
-                if panics + 1 < workers && rng.gen_bool(rates.panic) {
-                    events.push(FabricFaultEvent { worker, nth, kind: FabricFaultKind::Panic });
-                    panics += 1;
-                    // A dead worker picks up nothing further.
-                    break;
-                }
-                if rng.gen_bool(rates.straggler) {
-                    let delay_ms = rng.gen_range(rates.straggler_ms.0..=rates.straggler_ms.1);
-                    events.push(FabricFaultEvent {
-                        worker,
-                        nth,
-                        kind: FabricFaultKind::Straggler { delay_ms },
-                    });
-                }
-            }
-        }
-        FabricFaultPlan::new(events)
-    }
-
-    /// Adds a burst of identical faults on one worker's items
-    /// `[start, start + len)`.
-    pub fn with_burst(mut self, worker: usize, start: u64, len: u64, kind: FabricFaultKind) -> Self {
-        for nth in start..start + len {
-            self.events.push(FabricFaultEvent { worker, nth, kind });
-        }
-        FabricFaultPlan::new(self.events)
-    }
-
-    /// The fault (if any) for the `nth` item `worker` starts.
-    pub fn fault_for(&self, worker: usize, nth: u64) -> Option<FabricFaultKind> {
-        self.events
-            .binary_search_by_key(&(worker, nth), |e| (e.worker, e.nth))
-            .ok()
-            .map(|i| self.events[i].kind)
-    }
-
-    /// All scheduled events, sorted by `(worker, nth)`.
-    pub fn events(&self) -> &[FabricFaultEvent] {
-        &self.events
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// What [`StealScheduler::next`] hands a worker.
@@ -190,6 +85,20 @@ struct SchedState {
 pub struct StealScheduler {
     state: Mutex<SchedState>,
     abort: AtomicBool,
+    items: usize,
+    workers: usize,
+}
+
+/// The worker whose block of the contiguous deal holds item `i`: blocks
+/// follow item order, and the first `items % workers` are one item longer.
+fn deal(items: usize, workers: usize, i: usize) -> usize {
+    let (base, extra) = (items / workers, items % workers);
+    let cut = extra * (base + 1);
+    if i < cut {
+        i / (base + 1)
+    } else {
+        extra + (i - cut) / base.max(1)
+    }
 }
 
 impl StealScheduler {
@@ -197,13 +106,8 @@ impl StealScheduler {
     pub fn new(items: usize, workers: usize) -> Self {
         assert!(workers > 0, "scheduler needs at least one worker");
         let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        let base = items / workers;
-        let extra = items % workers;
-        let mut next = 0usize;
-        for (w, dq) in deques.iter_mut().enumerate() {
-            let take = base + usize::from(w < extra);
-            dq.extend(next..next + take);
-            next += take;
+        for i in 0..items {
+            deques[deal(items, workers, i)].push_back(i);
         }
         StealScheduler {
             state: Mutex::new(SchedState {
@@ -215,6 +119,33 @@ impl StealScheduler {
                 deaths: 0,
             }),
             abort: AtomicBool::new(false),
+            items,
+            workers,
+        }
+    }
+
+    /// The worker item `i` was dealt to. An item executed by any other
+    /// worker was stolen, or re-queued after its owner died.
+    pub fn dealt_owner(&self, i: usize) -> usize {
+        deal(self.items, self.workers, i)
+    }
+
+    /// Applies an injected fault to `worker`'s item `i`; call it inside
+    /// the worker's unwind barrier. A straggler stalls, cut short once the
+    /// pool is aborted so a cancelled drive never waits one out; a panic
+    /// unwinds.
+    pub fn inject(&self, fault: Option<FabricFaultKind>, worker: usize, i: usize) {
+        match fault {
+            Some(FabricFaultKind::Straggler { delay_ms }) => {
+                let until = Instant::now() + Duration::from_millis(delay_ms);
+                while Instant::now() < until && !self.aborted() {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            Some(FabricFaultKind::Panic) => {
+                panic!("injected fabric fault: worker {worker} item {i}")
+            }
+            None => {}
         }
     }
 
@@ -432,12 +363,12 @@ pub fn install_quiet_fabric_panics() {
 /// threads, containing panics (a panicking worker dies permanently and
 /// its items move to survivors), and returns results in item order.
 ///
-/// `job(worker, index, &item)` may panic; [`FabricFaultPlan`] faults are
-/// applied per `(worker, nth-started-item)` before the closure runs.
+/// `job(worker, index, &item)` may panic; `faults` are applied per
+/// `(worker, nth-started-item)` before the closure runs.
 pub fn run_ordered<T, R, F>(
     items: &[T],
     workers: usize,
-    faults: &FabricFaultPlan,
+    faults: &FaultPlan<FabricFaultKind>,
     tel: &Telemetry,
     job: F,
 ) -> Result<(Vec<R>, FabricStats), FabricError>
@@ -465,20 +396,6 @@ where
     // OS threads do not inherit the caller's trace context; hand it across
     // the spawn explicitly so worker spans parent under the fabric span.
     let ctx = TraceContext::current();
-    // Mirror of `StealScheduler::new`'s contiguous deal: items executed by
-    // a worker other than their dealt owner (steals, or re-queues after a
-    // death) carry a "steal" note on their span.
-    let base = items.len() / workers;
-    let extra = items.len() % workers;
-    let dealt_owner = move |i: usize| -> usize {
-        let cut = extra * (base + 1);
-        if i < cut {
-            i / (base + 1)
-        } else {
-            extra + (i - cut) / base.max(1)
-        }
-    };
-
     std::thread::scope(|scope| {
         for w in 0..workers {
             let sched = &sched;
@@ -505,18 +422,15 @@ where
                                 let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
                                     // Opened inside the unwind boundary: a
                                     // panicking item still flushes its span,
-                                    // marked truncated by the guard.
-                                    let _item_span = if dealt_owner(i) == w {
+                                    // marked truncated by the guard. Items
+                                    // run off their dealt worker carry a
+                                    // "steal" note.
+                                    let _item_span = if sched.dealt_owner(i) == w {
                                         tel.span_id("distsim.fabric.item", i as u64)
                                     } else {
                                         tel.span_noted("distsim.fabric.item", i as u64, "steal")
                                     };
-                                    if let Some(FabricFaultKind::Straggler { delay_ms }) = fault {
-                                        std::thread::sleep(Duration::from_millis(delay_ms));
-                                    }
-                                    if let Some(FabricFaultKind::Panic) = fault {
-                                        panic!("injected fabric fault: worker {} item {}", w, i);
-                                    }
+                                    sched.inject(fault, w, i);
                                     let t0 = Instant::now();
                                     let r = job(w, i, &items[i]);
                                     (r, t0.elapsed().as_secs_f64())
@@ -575,28 +489,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plans_are_seed_deterministic_and_lookup_works() {
-        let a = FabricFaultPlan::random(7, 40, 4, FabricFaultRates::default());
-        let b = FabricFaultPlan::random(7, 40, 4, FabricFaultRates::default());
-        assert_eq!(a, b);
-        let plan = FabricFaultPlan::none().with_burst(1, 3, 2, FabricFaultKind::Panic);
-        assert_eq!(plan.fault_for(1, 3), Some(FabricFaultKind::Panic));
-        assert_eq!(plan.fault_for(1, 4), Some(FabricFaultKind::Panic));
-        assert_eq!(plan.fault_for(1, 5), None);
-        assert_eq!(plan.fault_for(0, 3), None);
-    }
-
-    #[test]
-    fn random_plan_never_panics_every_worker() {
-        for seed in 0..20 {
-            let heavy = FabricFaultRates { panic: 0.6, ..Default::default() };
-            let plan = FabricFaultPlan::random(seed, 50, 3, heavy);
-            let panics = plan
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, FabricFaultKind::Panic))
-                .count();
-            assert!(panics < 3, "seed {} would kill the whole pool", seed);
+    fn dealt_owner_names_the_deque_that_first_holds_each_item() {
+        for (items, workers) in [(0, 3), (2, 5), (5, 5), (6, 2), (7, 3), (10, 4), (289, 8)] {
+            let sched = StealScheduler::new(items, workers);
+            let state = sched.state.lock().unwrap();
+            let mut next = 0;
+            for (w, dq) in state.deques.iter().enumerate() {
+                // Contiguous blocks in item order, the first `items % workers`
+                // one item longer.
+                let take = items / workers + usize::from(w < items % workers);
+                assert!(dq.iter().copied().eq(next..next + take), "worker {w}: {dq:?}");
+                next += take;
+                for &i in dq {
+                    assert_eq!(sched.dealt_owner(i), w, "item {i} of {items} over {workers}");
+                }
+            }
+            assert_eq!(next, items);
         }
     }
 
@@ -675,7 +583,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..40).collect();
         let (out, stats) =
-            run_ordered(&items, 4, &FabricFaultPlan::none(), &tel, |_w, _i, &x| x * 2).unwrap();
+            run_ordered(&items, 4, &FaultPlan::none(), &tel, |_w, _i, &x| x * 2).unwrap();
         assert_eq!(out, (0..40).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(stats.per_worker_items.iter().sum::<u64>(), 40);
         assert_eq!(stats.worker_panics, 0);
@@ -690,7 +598,7 @@ mod tests {
         // survivor succeeds. Guarantees exactly one contained death
         // regardless of which worker the scheduler hands item 5 to.
         let tripped = AtomicBool::new(false);
-        let (out, stats) = run_ordered(&items, 4, &FabricFaultPlan::none(), &tel, |_w, i, &x| {
+        let (out, stats) = run_ordered(&items, 4, &FaultPlan::none(), &tel, |_w, i, &x| {
             if i == 5 && !tripped.swap(true, Ordering::SeqCst) {
                 panic!("organic worker failure on item 5");
             }
@@ -710,7 +618,7 @@ mod tests {
         let ctx = tel.new_trace().expect("sampling defaults to on");
         let _guard = ctx.install();
         let items: Vec<usize> = (0..16).collect();
-        let plan = FabricFaultPlan::none().with_burst(1, 0, 1, FabricFaultKind::Panic);
+        let plan = FaultPlan::none().with_burst(1, 0, 1, FabricFaultKind::Panic);
         // Items must outlast thread spawn, or the first worker drains the
         // whole list before worker 1 ever picks up its faulted item.
         let (_, stats) = run_ordered(&items, 3, &plan, &tel, |_w, _i, &x| {
@@ -745,7 +653,7 @@ mod tests {
     fn all_workers_dead_is_a_typed_error() {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..10).collect();
-        let plan = FabricFaultPlan::none()
+        let plan = FaultPlan::none()
             .with_burst(0, 0, 1, FabricFaultKind::Panic)
             .with_burst(1, 0, 1, FabricFaultKind::Panic);
         let err = run_ordered(&items, 2, &plan, &tel, |_w, _i, &x| x).unwrap_err();
@@ -762,7 +670,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let items: Vec<usize> = (0..8).collect();
         let plan =
-            FabricFaultPlan::none().with_burst(0, 0, 2, FabricFaultKind::Straggler { delay_ms: 5 });
+            FaultPlan::none().with_burst(0, 0, 2, FabricFaultKind::Straggler { delay_ms: 5 });
         let (out, _) = run_ordered(&items, 2, &plan, &tel, |_w, _i, &x| x).unwrap();
         assert_eq!(out, items);
     }

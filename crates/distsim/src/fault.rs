@@ -1,160 +1,32 @@
-//! Deterministic fault injection for the data-parallel engine.
+//! Fault kinds for the data-parallel engine, and the trace of what the
+//! engine did to survive them.
 //!
-//! A [`FaultPlan`] is a schedule of [`FaultEvent`]s — worker crashes,
-//! transient gradient corruption on the wire, and stragglers — that the
-//! engine consults at the start of every step. Plans are either written
-//! explicitly or generated from a seed, and the same plan always produces
-//! the same recovery behaviour (verified by the determinism tests), so
-//! failure scenarios at any scale can be replayed exactly.
+//! The engine consults an [`apf_core::fault::FaultPlan<FaultKind>`] at the
+//! start of every step, keyed `(rank, step)`: worker crashes, transient
+//! gradient corruption on the wire, stragglers and NaN gradients. The same
+//! plan always produces the same recovery behaviour (verified by the
+//! determinism tests), so failure scenarios at any scale replay exactly.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-/// One kind of injected failure.
+/// One kind of injected failure; the plan's lane is the targeted rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker dies permanently at the start of the step. The engine
     /// removes it from the collective and re-shards the batch over the
     /// survivors.
-    WorkerCrash {
-        /// Rank of the dying worker.
-        rank: usize,
-    },
+    WorkerCrash,
     /// The worker's outgoing all-reduce traffic is corrupted by a single
     /// bit flip this step. Transient: the retry succeeds.
-    GradCorruption {
-        /// Rank whose message is corrupted.
-        rank: usize,
-    },
+    GradCorruption,
     /// The worker stalls for `delay_ms` before computing its shard. No
     /// correctness impact; inflates the step's compute time.
     Straggler {
-        /// Rank of the slow worker.
-        rank: usize,
         /// Injected delay in milliseconds.
         delay_ms: u64,
     },
     /// The worker's gradient contribution contains a NaN this step
     /// (modelling an overflow in mixed-precision compute). Transient; the
     /// engine's guard rolls the step back.
-    NanGrad {
-        /// Rank producing the NaN.
-        rank: usize,
-    },
-}
-
-impl FaultKind {
-    /// The rank this fault targets.
-    pub fn rank(&self) -> usize {
-        match *self {
-            FaultKind::WorkerCrash { rank }
-            | FaultKind::GradCorruption { rank }
-            | FaultKind::Straggler { rank, .. }
-            | FaultKind::NanGrad { rank } => rank,
-        }
-    }
-}
-
-/// A fault scheduled for a specific engine step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Engine step (0-based) at which the fault fires.
-    pub step: u64,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A deterministic schedule of faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
-
-/// Probabilities for [`FaultPlan::random`], per worker-step.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultRates {
-    /// Probability a live worker crashes on a given step.
-    pub crash: f64,
-    /// Probability a worker's all-reduce traffic is corrupted on a step.
-    pub corruption: f64,
-    /// Probability a worker straggles on a step.
-    pub straggler: f64,
-    /// Straggler delay range in milliseconds.
-    pub straggler_ms: (u64, u64),
-}
-
-impl Default for FaultRates {
-    fn default() -> Self {
-        FaultRates {
-            crash: 0.01,
-            corruption: 0.02,
-            straggler: 0.05,
-            straggler_ms: (1, 20),
-        }
-    }
-}
-
-impl FaultPlan {
-    /// A plan with no faults.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Builds a plan from explicit events (sorted by step internally).
-    pub fn new(mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| e.step);
-        FaultPlan { events }
-    }
-
-    /// Generates a seeded random plan over `steps` steps and `workers`
-    /// ranks. The same `(seed, steps, workers, rates)` always yields the
-    /// same plan. At most `workers - 1` crashes are scheduled so the
-    /// collective never empties.
-    pub fn random(seed: u64, steps: u64, workers: usize, rates: FaultRates) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut events = Vec::new();
-        let mut crashes = 0usize;
-        let mut dead = vec![false; workers];
-        for step in 0..steps {
-            for (rank, is_dead) in dead.iter_mut().enumerate() {
-                if *is_dead {
-                    continue;
-                }
-                if crashes + 1 < workers && rng.gen_bool(rates.crash) {
-                    events.push(FaultEvent { step, kind: FaultKind::WorkerCrash { rank } });
-                    *is_dead = true;
-                    crashes += 1;
-                    continue;
-                }
-                if rng.gen_bool(rates.corruption) {
-                    events.push(FaultEvent { step, kind: FaultKind::GradCorruption { rank } });
-                }
-                if rng.gen_bool(rates.straggler) {
-                    let delay_ms = rng.gen_range(rates.straggler_ms.0..=rates.straggler_ms.1);
-                    events.push(FaultEvent {
-                        step,
-                        kind: FaultKind::Straggler { rank, delay_ms },
-                    });
-                }
-            }
-        }
-        FaultPlan { events }
-    }
-
-    /// All scheduled events, ordered by step.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Events scheduled for `step`.
-    pub fn events_at(&self, step: u64) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.step == step)
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
+    NanGrad,
 }
 
 /// One entry in the engine's recovery trace: what the fault-tolerance
@@ -195,61 +67,4 @@ pub enum RecoveryEvent {
         /// Learning-rate scale in effect after the halving.
         lr_scale_after: f32,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn explicit_plan_sorts_and_filters_by_step() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent { step: 5, kind: FaultKind::WorkerCrash { rank: 1 } },
-            FaultEvent { step: 2, kind: FaultKind::Straggler { rank: 0, delay_ms: 3 } },
-            FaultEvent { step: 5, kind: FaultKind::GradCorruption { rank: 2 } },
-        ]);
-        assert_eq!(plan.events()[0].step, 2);
-        assert_eq!(plan.events_at(5).count(), 2);
-        assert_eq!(plan.events_at(3).count(), 0);
-        assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn random_plans_are_seed_deterministic() {
-        let a = FaultPlan::random(7, 50, 4, FaultRates::default());
-        let b = FaultPlan::random(7, 50, 4, FaultRates::default());
-        let c = FaultPlan::random(8, 50, 4, FaultRates::default());
-        assert_eq!(a, b);
-        assert_ne!(a, c, "different seeds should differ (vanishingly unlikely otherwise)");
-    }
-
-    #[test]
-    fn random_plan_never_kills_all_workers() {
-        for seed in 0..20 {
-            let heavy = FaultRates { crash: 0.5, ..Default::default() };
-            let plan = FaultPlan::random(seed, 100, 3, heavy);
-            let crashes = plan
-                .events()
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::WorkerCrash { .. }))
-                .count();
-            assert!(crashes < 3, "seed {} killed everyone", seed);
-        }
-    }
-
-    #[test]
-    fn crashed_workers_emit_no_further_events() {
-        let heavy = FaultRates { crash: 0.3, corruption: 0.3, straggler: 0.3, ..Default::default() };
-        let plan = FaultPlan::random(3, 60, 4, heavy);
-        let mut dead_at: Vec<Option<u64>> = vec![None; 4];
-        for e in plan.events() {
-            let rank = e.kind.rank();
-            if let Some(d) = dead_at[rank] {
-                panic!("rank {} acted at step {} after dying at {}", rank, e.step, d);
-            }
-            if matches!(e.kind, FaultKind::WorkerCrash { .. }) {
-                dead_at[rank] = Some(e.step);
-            }
-        }
-    }
 }

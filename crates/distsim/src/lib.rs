@@ -13,11 +13,12 @@
 //!   calibrated once against a single measured row of the paper.
 //! - [`engine`] — a genuine thread-per-GPU data-parallel trainer whose
 //!   tests prove step-equivalence with single-worker training.
-//! - [`fault`] — deterministic fault injection (crashes, wire corruption,
-//!   stragglers, NaN gradients) and the recovery trace the engine records
-//!   while surviving them.
+//! - [`fault`] — the engine's fault kinds (crashes, wire corruption,
+//!   stragglers, NaN gradients), scheduled by a seeded
+//!   [`apf_core::fault::FaultPlan`], and the recovery trace the engine
+//!   records while surviving them.
 //! - [`fabric`] — a generic work-stealing worker pool over arbitrary
-//!   indexed work lists, with `(worker, nth-item)`-keyed fault plans and a
+//!   indexed work lists, with `(worker, nth-item)`-keyed fault injection and a
 //!   deterministic virtual-time schedule simulator; the substrate the
 //!   gigapixel distributed stitcher runs on.
 
@@ -37,10 +38,9 @@ pub use cluster::{calibrate, ClusterModel, Prediction};
 pub use cost::{step_cost, ModelDims, StepCost};
 pub use engine::{DataParallelEngine, StepReport};
 pub use fabric::{
-    install_quiet_fabric_panics, run_ordered, simulate_makespan, FabricError, FabricFaultEvent,
-    FabricFaultKind, FabricFaultPlan, FabricFaultRates, FabricStats, Next, SimulatedSchedule,
-    StealScheduler, FABRIC_THREAD_PREFIX,
+    install_quiet_fabric_panics, run_ordered, simulate_makespan, FabricError, FabricFaultKind,
+    FabricStats, Next, SimulatedSchedule, StealScheduler, FABRIC_THREAD_PREFIX,
 };
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, RecoveryEvent};
+pub use fault::{FaultKind, RecoveryEvent};
 pub use gpu::{Fabric, GpuSpec};
 pub use tree_allreduce::{tree_allreduce_mean, tree_allreduce_mean_checked, tree_allreduce_seconds};

@@ -33,9 +33,9 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use apf_distsim::fabric::{
-    install_quiet_fabric_panics, FabricFaultKind, FabricFaultPlan, Next, StealScheduler,
-    FABRIC_THREAD_PREFIX,
+    install_quiet_fabric_panics, FabricFaultKind, Next, StealScheduler, FABRIC_THREAD_PREFIX,
 };
+use apf_core::fault::FaultPlan;
 use apf_imaging::GrayImage;
 use apf_models::checkpoint::{load_with_state, save_with_state, TrainState};
 use apf_models::ParamSet;
@@ -54,28 +54,6 @@ use crate::store::TileStoreWriter;
 /// Stitch-checkpoint schema version (bumped on layout changes).
 const STITCH_SCHEMA: u64 = 1;
 
-/// Injected failures for the distributed drive, on top of the fabric's
-/// per-worker plan.
-#[derive(Debug, Clone, Default)]
-pub struct StitchFaultPlan {
-    /// Worker panics / stragglers, keyed `(worker, nth-window-started)`.
-    pub fabric: FabricFaultPlan,
-    /// Crash the nth checkpoint write (0-based) this run: the primary is
-    /// left torn on disk after rotation, simulating a non-atomic
-    /// filesystem, and the drive dies with a typed error.
-    pub checkpoint_crash_at: Option<u64>,
-    /// Kill the drive abruptly after this many windows merged this run
-    /// (no parting checkpoint — resume replays from the last periodic one).
-    pub kill_after_windows: Option<usize>,
-}
-
-impl StitchFaultPlan {
-    /// No injected failures.
-    pub fn none() -> Self {
-        StitchFaultPlan::default()
-    }
-}
-
 /// Options for [`SlideSegmenter::segment_store_distributed`].
 #[derive(Debug, Clone)]
 pub struct DistStitchOptions {
@@ -89,8 +67,16 @@ pub struct DistStitchOptions {
     /// Resume from `checkpoint_path` if a valid checkpoint (or its
     /// `.prev` rotation) and partial output are found.
     pub resume: bool,
-    /// Injected failures.
-    pub faults: StitchFaultPlan,
+    /// Injected stitch-worker panics and stragglers, keyed
+    /// `(worker, nth-window-started)`.
+    pub faults: FaultPlan<FabricFaultKind>,
+    /// Crash the nth checkpoint write (0-based) this run: the primary is
+    /// left torn on disk after rotation, simulating a non-atomic
+    /// filesystem, and the drive dies with a typed error.
+    pub checkpoint_crash_at: Option<u64>,
+    /// Kill the drive abruptly after this many windows merged this run
+    /// (no parting checkpoint — resume replays from the last periodic one).
+    pub kill_after_windows: Option<usize>,
     /// Merge-loop poll interval: how often cancellation is re-checked
     /// while no window completion arrives (a stalled worker must not
     /// stall the deadline).
@@ -106,7 +92,9 @@ impl DistStitchOptions {
             checkpoint_path: None,
             checkpoint_every: 8,
             resume: false,
-            faults: StitchFaultPlan::none(),
+            faults: FaultPlan::none(),
+            checkpoint_crash_at: None,
+            kill_after_windows: None,
             poll: Duration::from_millis(25),
         }
     }
@@ -582,27 +570,15 @@ impl<'m> SlideSegmenter<'m> {
 
         // OS threads do not inherit the caller's trace context; hand it to
         // the stitch workers explicitly so their window spans parent under
-        // the drive span. The dealt-owner mirror of the scheduler's
-        // contiguous deal marks windows executed off their dealt worker
-        // (steals, death re-queues) with a "steal" note.
+        // the drive span.
         let ctx = TraceContext::current();
-        let deal_base = (windows_total - start_k) / opts.workers;
-        let deal_extra = (windows_total - start_k) % opts.workers;
-        let dealt_owner = move |i: usize| -> usize {
-            let cut = deal_extra * (deal_base + 1);
-            if i < cut {
-                i / (deal_base + 1)
-            } else {
-                deal_extra + (i - cut) / deal_base.max(1)
-            }
-        };
 
         let merge_outcome: Result<(), GigapixelError> = std::thread::scope(|scope| {
             for wi in 0..opts.workers {
                 let tx = res_tx.clone();
                 let sched = &sched;
                 let positions = &positions;
-                let faults = &opts.faults.fabric;
+                let faults = &opts.faults;
                 let panics_total = panics_total.clone();
                 let worker_s = self.tel.histogram_with(
                     "apf_gigapixel_worker_window_seconds",
@@ -625,8 +601,11 @@ impl<'m> SlideSegmenter<'m> {
                                     let ran = panic::catch_unwind(AssertUnwindSafe(|| {
                                         // Inside the unwind boundary: a
                                         // panicking window still flushes its
-                                        // span, marked truncated.
-                                        let _wspan = if dealt_owner(i) == wi {
+                                        // span, marked truncated. Windows run
+                                        // off their dealt worker (steals,
+                                        // death re-queues) carry a "steal"
+                                        // note.
+                                        let _wspan = if sched.dealt_owner(i) == wi {
                                             self.tel.span_id("gigapixel.window_infer", k as u64)
                                         } else {
                                             self.tel.span_noted(
@@ -635,20 +614,7 @@ impl<'m> SlideSegmenter<'m> {
                                                 "steal",
                                             )
                                         };
-                                        if let Some(FabricFaultKind::Straggler { delay_ms }) = fault
-                                        {
-                                            // Abort-aware stall: a cancelled
-                                            // drive must not wait out a
-                                            // straggler before returning.
-                                            let until = Instant::now()
-                                                + Duration::from_millis(delay_ms);
-                                            while Instant::now() < until && !sched.aborted() {
-                                                std::thread::sleep(Duration::from_millis(2));
-                                            }
-                                        }
-                                        if let Some(FabricFaultKind::Panic) = fault {
-                                            panic!("injected stitch-worker panic at window {k}");
-                                        }
+                                        sched.inject(fault, wi, i);
                                         let t0 = Instant::now();
                                         let (wx, wy) = (positions[k % n], positions[k / n]);
                                         let result = cache.read_region(wx, wy, w, w).and_then(
@@ -758,7 +724,7 @@ impl<'m> SlideSegmenter<'m> {
 
                     // Injected abrupt kill: no parting checkpoint, output
                     // temp preserved exactly as a real kill would.
-                    if opts.faults.kill_after_windows == Some(merged_this_run) {
+                    if opts.kill_after_windows == Some(merged_this_run) {
                         break 'merge Err(GigapixelError::InjectedCrash {
                             windows_merged: progress.merged,
                             site: "kill",
@@ -773,7 +739,7 @@ impl<'m> SlideSegmenter<'m> {
                         let ckpt = opts.checkpoint_path.as_deref().expect("checked is_some");
                         progress.writer.flush_to_disk()?;
                         let state = progress.snapshot(fp).to_state();
-                        if opts.faults.checkpoint_crash_at == Some(checkpoints_written) {
+                        if opts.checkpoint_crash_at == Some(checkpoints_written) {
                             // Simulate a torn write on a non-atomic
                             // filesystem: rotate, then leave garbage at the
                             // primary slot and die.

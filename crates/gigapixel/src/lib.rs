@@ -35,7 +35,6 @@ pub mod stream_tree;
 pub use cache::{TileCache, MAX_TILE_READ_ATTEMPTS};
 pub use dist::{
     load_stitch_checkpoint, DistStitchOptions, DistStitchReport, StitchCheckpointInfo,
-    StitchFaultPlan,
 };
 pub use error::GigapixelError;
 pub use generate::{stream_paip_slide, write_tiled};

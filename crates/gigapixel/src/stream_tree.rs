@@ -18,7 +18,7 @@
 //!    most one tile's integral alive.
 //!
 //! Both builders route every split decision through
-//! [`SplitCriterion::exceeds`] and finish through [`QuadTree::from_leaves`],
+//! [`apf_core::SplitCriterion::exceeds`] and finish through [`QuadTree::from_leaves`],
 //! so they can only diverge if their quadrant sums diverge. Sums are exact
 //! (hence the trees bit-identical) whenever partial sums are exactly
 //! representable in `f64` — in particular for the paper's production path,

@@ -104,7 +104,7 @@ fn fixture() -> &'static Fixture {
         let _ = std::fs::remove_file(test_dir().join("prop.ckpt.apf2.prev"));
         let mut opts = DistStitchOptions::new(2).with_checkpoint(&ckpt);
         opts.checkpoint_every = 2;
-        opts.faults.kill_after_windows = Some(5);
+        opts.kill_after_windows = Some(5);
         let err = seg
             .segment_store_distributed(&cache, &out, &res, &opts, || false)
             .unwrap_err();

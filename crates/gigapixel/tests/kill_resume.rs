@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use apf_distsim::fabric::{FabricFaultKind, FabricFaultPlan};
+use apf_core::fault::FaultPlan;
+use apf_distsim::fabric::FabricFaultKind;
 use apf_gigapixel::{
     load_stitch_checkpoint, write_tiled, DistStitchOptions, GigapixelError, Residency,
     SlideSegmenter, StitchConfig, TileCache, TileStore,
@@ -124,7 +125,7 @@ fn kill_at_window_k_resumes_bit_identically() {
     let run1 = tel.new_trace().expect("tracing defaults to on");
     let mut opts = DistStitchOptions::new(2).with_checkpoint(&ckpt);
     opts.checkpoint_every = 2;
-    opts.faults.kill_after_windows = Some(5);
+    opts.kill_after_windows = Some(5);
     let err = {
         let _g = run1.install();
         seg.segment_store_distributed(&cache, &out, &res, &opts, || false).unwrap_err()
@@ -193,7 +194,7 @@ fn checkpoint_write_crash_falls_back_to_prev_rotation() {
     // after rotating the first (merged=2) checkpoint to `.prev`.
     let mut opts = DistStitchOptions::new(2).with_checkpoint(&ckpt);
     opts.checkpoint_every = 2;
-    opts.faults.checkpoint_crash_at = Some(1);
+    opts.checkpoint_crash_at = Some(1);
     let err = seg
         .segment_store_distributed(&cache, &out, &res, &opts, || false)
         .unwrap_err();
@@ -230,7 +231,7 @@ fn injected_worker_panics_and_stragglers_do_not_corrupt_output() {
     let seg = SlideSegmenter::new(&model, stitch_cfg(), tel.clone());
     let out = test_dir().join("faulty_out.apt1");
     let mut opts = DistStitchOptions::new(3);
-    opts.faults.fabric = FabricFaultPlan::none()
+    opts.faults = FaultPlan::none()
         .with_burst(1, 0, 1, FabricFaultKind::Straggler { delay_ms: 10 })
         .with_burst(2, 1, 1, FabricFaultKind::Panic);
     let report = seg
@@ -253,7 +254,7 @@ fn all_workers_dead_is_a_typed_error_with_no_final_output() {
     let mut opts = DistStitchOptions::new(2);
     // Every window any worker starts panics: the pool must empty and the
     // drive must report it instead of hanging.
-    opts.faults.fabric = FabricFaultPlan::none()
+    opts.faults = FaultPlan::none()
         .with_burst(0, 0, 9, FabricFaultKind::Panic)
         .with_burst(1, 0, 9, FabricFaultKind::Panic);
     let err = seg
@@ -280,7 +281,7 @@ fn deadline_fires_while_a_worker_stalls() {
     // Whichever worker starts first stalls for far longer than the
     // deadline; cancellation must fire from the merge loop's poll, not
     // wait for a window to complete.
-    opts.faults.fabric = FabricFaultPlan::none()
+    opts.faults = FaultPlan::none()
         .with_burst(0, 0, 1, FabricFaultKind::Straggler { delay_ms: 2_000 })
         .with_burst(1, 0, 1, FabricFaultKind::Straggler { delay_ms: 2_000 });
     let t0 = Instant::now();

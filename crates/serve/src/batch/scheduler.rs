@@ -289,11 +289,19 @@ pub(crate) fn batch_worker_loop(
         let outcomes = {
             let _span = shared.tm.tel.span_id("serve.inference", id);
             let _t = shared.tm.inference_s.start_timer();
-            catch_unwind(AssertUnwindSafe(|| match &batch[0].payload {
-                Payload::Slide(req) => {
-                    vec![run_slide(&model, req, batch[0].deadline, fault, cfg, &shared.tm)]
+            catch_unwind(AssertUnwindSafe(|| {
+                if let Some(InferenceFaultKind::SlowInference { delay_ms }) = fault {
+                    thread::sleep(Duration::from_millis(delay_ms));
                 }
-                Payload::Image(_) => run_batch(&model, &batch, fault, cfg, &shared.tm, cache),
+                if let Some(InferenceFaultKind::WorkerPanic) = fault {
+                    panic!("injected worker panic (fault plan)");
+                }
+                match &batch[0].payload {
+                    Payload::Slide(req) => {
+                        vec![run_slide(&model, req, batch[0].deadline, cfg, &shared.tm)]
+                    }
+                    Payload::Image(_) => run_batch(&model, &batch, fault, cfg, &shared.tm, cache),
+                }
             }))
             .unwrap_or_else(|_| {
                 // The contained panic is exactly what the black box exists
@@ -351,12 +359,6 @@ fn run_batch(
     tm: &ServeTel,
     cache: Option<&PatchCache>,
 ) -> Vec<Outcome> {
-    if let Some(InferenceFaultKind::SlowInference { delay_ms }) = fault {
-        thread::sleep(Duration::from_millis(delay_ms));
-    }
-    if let Some(InferenceFaultKind::WorkerPanic) = fault {
-        panic!("injected worker panic (fault plan)");
-    }
     let pm = cfg.patch_size;
     let tier = batch[0].tier;
     let seqs: Vec<Result<Arc<PatchSequence>, String>> = batch

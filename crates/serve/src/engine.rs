@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use apf_core::fault::FaultPlan;
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_gigapixel::{
     DistStitchOptions, GigapixelError, Residency, SlideSegmenter, StitchConfig, TileCache,
@@ -40,7 +41,7 @@ use crate::batch::scheduler::{batch_worker_loop, BatchStats, BatchTel};
 use crate::batch::{batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition};
 use crate::degrade::{DegradationPolicy, Tier};
-use crate::fault::{InferenceFaultKind, ServeFaultPlan};
+use crate::fault::InferenceFaultKind;
 use crate::queue::BoundedQueue;
 use crate::request::{
     DeadlineStage, FailureReason, Outcome, SegRequest, SegResponse, SlideRequest, Ticket,
@@ -69,8 +70,9 @@ pub struct ServeConfig {
     pub breaker: BreakerConfig,
     /// Queue-depth -> tier mapping and per-tier budgets.
     pub policy: DegradationPolicy,
-    /// Injected fault schedule (empty in production use).
-    pub faults: ServeFaultPlan,
+    /// Injected fault schedule keyed `(worker, nth dispatch)` (empty in
+    /// production use).
+    pub faults: FaultPlan<InferenceFaultKind>,
     /// Batch scheduler + preprocessing-cache knobs. The default serves
     /// every request alone, uncached.
     pub batch: BatchConfig,
@@ -99,7 +101,7 @@ impl ServeConfig {
             poll_ms: 2,
             breaker: BreakerConfig::default(),
             policy,
-            faults: ServeFaultPlan::none(),
+            faults: FaultPlan::none(),
             batch: BatchConfig::default(),
             telemetry: Telemetry::disabled(),
             flight_dump_dir: None,
@@ -702,16 +704,9 @@ pub(crate) fn run_slide(
     model: &ViTSegmenter,
     req: &SlideRequest,
     deadline: Option<Instant>,
-    fault: Option<InferenceFaultKind>,
     cfg: &ServeConfig,
     tm: &ServeTel,
 ) -> Outcome {
-    if let Some(InferenceFaultKind::SlowInference { delay_ms }) = fault {
-        thread::sleep(Duration::from_millis(delay_ms));
-    }
-    if let Some(InferenceFaultKind::WorkerPanic) = fault {
-        panic!("injected worker panic (fault plan)");
-    }
     let _span = tm.tel.span_id("serve.slide", req.id);
     // Container validation (magic, version, index checksum) happens here on
     // the worker, not at admission: it is file I/O.
@@ -765,6 +760,7 @@ pub(crate) fn run_slide(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apf_core::fault::Fault;
     use apf_imaging::GrayImage;
 
     fn test_image(seed: u64) -> GrayImage {
@@ -861,15 +857,8 @@ mod tests {
         cfg.workers = 1;
         cfg.queue_capacity = 4;
         // Slow every request down so the queue actually fills.
-        cfg.faults = ServeFaultPlan::new(
-            (0..200)
-                .map(|nth| crate::fault::InferenceFault {
-                    worker: 0,
-                    nth,
-                    kind: InferenceFaultKind::SlowInference { delay_ms: 30 },
-                })
-                .collect(),
-        );
+        let slow = InferenceFaultKind::SlowInference { delay_ms: 30 };
+        cfg.faults = FaultPlan::none().with_burst(0, 0, 200, slow);
         let engine = ServeEngine::start(cfg);
         let tickets: Vec<Ticket> = (0..24)
             .map(|id| {
@@ -901,15 +890,8 @@ mod tests {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
         cfg.queue_capacity = 8;
-        cfg.faults = ServeFaultPlan::new(
-            (0..100)
-                .map(|nth| crate::fault::InferenceFault {
-                    worker: 0,
-                    nth,
-                    kind: InferenceFaultKind::SlowInference { delay_ms: 25 },
-                })
-                .collect(),
-        );
+        let slow = InferenceFaultKind::SlowInference { delay_ms: 25 };
+        cfg.faults = FaultPlan::none().with_burst(0, 0, 100, slow);
         let engine = ServeEngine::start(cfg);
         let tickets: Vec<Ticket> = (0..8)
             .map(|id| {
@@ -947,7 +929,7 @@ mod tests {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
         cfg.breaker = BreakerConfig { failure_threshold: 2, cooldown_polls: 3, half_open_successes: 2 };
-        cfg.faults = ServeFaultPlan::none().with_burst(0, 1, 2, InferenceFaultKind::WorkerPanic);
+        cfg.faults = FaultPlan::none().with_burst(0, 1, 2, InferenceFaultKind::WorkerPanic);
         let engine = ServeEngine::start(cfg);
         let tickets: Vec<Ticket> = (0..8)
             .map(|id| {
@@ -1177,8 +1159,8 @@ mod tests {
         cfg.policy.full_len = 48;
         // Stall the worker past the deadline before the drive starts: the
         // first between-window cancellation check then fires deterministically.
-        cfg.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
-            worker: 0,
+        cfg.faults = FaultPlan::new(vec![Fault {
+            lane: 0,
             nth: 0,
             kind: InferenceFaultKind::SlowInference { delay_ms: 400 },
         }]);
@@ -1277,8 +1259,8 @@ mod tests {
         // completes (the injected stall eats the whole deadline).
         let mut stalled = cfg.clone();
         stalled.workers = 1;
-        stalled.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
-            worker: 0,
+        stalled.faults = FaultPlan::new(vec![Fault {
+            lane: 0,
             nth: 0,
             kind: InferenceFaultKind::SlowInference { delay_ms: 400 },
         }]);
@@ -1428,8 +1410,8 @@ mod tests {
     fn injected_nan_is_caught_by_the_output_guard() {
         let mut cfg = ServeConfig::small();
         cfg.workers = 1;
-        cfg.faults = ServeFaultPlan::new(vec![crate::fault::InferenceFault {
-            worker: 0,
+        cfg.faults = FaultPlan::new(vec![Fault {
+            lane: 0,
             nth: 0,
             kind: InferenceFaultKind::NonFiniteOutput,
         }]);

@@ -63,12 +63,12 @@ pub use batch::{
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use degrade::{coarse_uniform_sequence, DegradationPolicy, Tier};
 pub use engine::{ServeConfig, ServeEngine, ServeMetrics, ServeReport, WorkerReport};
-pub use fault::{InferenceFault, InferenceFaultKind, ServeFaultPlan, ServeFaultRates};
+pub use fault::InferenceFaultKind;
 pub use queue::{BoundedQueue, Popped, PushError};
 pub use request::{
     DeadlineStage, FailureReason, Outcome, SegRequest, SegResponse, SlideRequest, Ticket,
 };
 pub use wire::{
-    ClientConfig, ClientError, NetFaultPlan, QuotaConfig, QuotaLimit, WireClient, WireConfig,
+    ClientConfig, ClientError, NetFaultKind, QuotaConfig, QuotaLimit, WireClient, WireConfig,
     WireError, WireRequest, WireServer, WireStatus,
 };

@@ -15,16 +15,17 @@
 //! backoff sleeps. Exhaustion returns [`ClientError::Exhausted`] carrying
 //! the last failure so callers never see an untyped "gave up".
 //!
-//! A seeded [`NetFaultPlan`] can be attached to mangle the send path on
-//! scheduled attempts (torn/stalled/garbage writes, pre-send disconnects),
-//! which is how the soak drives the server's error taxonomy and this
-//! client's reconnect logic from a single seed.
+//! A seeded [`FaultPlan<NetFaultKind>`] can be attached to mangle the send
+//! path on scheduled attempts (torn/stalled/garbage writes, pre-send
+//! disconnects), which is how the soak drives the server's error taxonomy
+//! and this client's reconnect logic from a single seed.
 
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use apf_core::fault::FaultPlan;
 use apf_telemetry::{Telemetry, TraceContext};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -33,7 +34,7 @@ use super::frame::{
     read_frame, write_frame, AdminRequest, AdminResponse, Frame, FrameKind, WireError,
     WireRequest, WireStatus,
 };
-use super::netfault::{NetFaultKind, NetFaultPlan};
+use super::netfault::NetFaultKind;
 
 /// Client retry/backoff configuration.
 #[derive(Debug, Clone)]
@@ -159,7 +160,7 @@ pub struct WireClient {
     cfg: ClientConfig,
     addr: SocketAddr,
     rng: ChaCha8Rng,
-    faults: NetFaultPlan,
+    faults: FaultPlan<NetFaultKind>,
     attempt_counter: u64,
     stats: ClientStats,
 }
@@ -168,11 +169,12 @@ impl WireClient {
     /// A client for the server at `addr`.
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        WireClient { cfg, addr, rng, faults: NetFaultPlan::none(), attempt_counter: 0, stats: ClientStats::default() }
+        WireClient { cfg, addr, rng, faults: FaultPlan::none(), attempt_counter: 0, stats: ClientStats::default() }
     }
 
-    /// Attaches a fault plan; scheduled attempts mangle the send path.
-    pub fn with_faults(mut self, plan: NetFaultPlan) -> Self {
+    /// Attaches a fault plan on lane 0, keyed by attempt; scheduled
+    /// attempts mangle the send path.
+    pub fn with_faults(mut self, plan: FaultPlan<NetFaultKind>) -> Self {
         self.faults = plan;
         self
     }
@@ -280,7 +282,7 @@ impl WireClient {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(self.cfg.read_timeout_ms.max(1))));
         let _ = stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))));
 
-        if let Some(fault) = self.faults.fault_for(nth) {
+        if let Some(fault) = self.faults.fault_for(0, nth) {
             self.stats.faults_injected += 1;
             return Err(self.inject(&stream, fault, request, nth));
         }
@@ -362,7 +364,7 @@ impl WireClient {
                 WireError::Disconnected
             }
             NetFaultKind::Garbage { len } => {
-                let junk = NetFaultPlan::garbage_bytes(self.cfg.seed, nth, len);
+                let junk = NetFaultKind::garbage_bytes(self.cfg.seed, nth, len);
                 let _ = w.write_all(&junk);
                 let _ = w.flush();
                 let _ = stream.shutdown(Shutdown::Both);

@@ -12,8 +12,8 @@
 //!   drain ([`WireServer`]).
 //! * [`client`] — the reconnecting, backoff-aware caller
 //!   ([`WireClient`]).
-//! * [`netfault`] — seeded socket-level fault injection
-//!   ([`NetFaultPlan`]) used by the soak and the loopback tests here.
+//! * [`netfault`] — seeded socket-level fault kinds ([`NetFaultKind`])
+//!   used by the soak and the loopback tests here.
 //!
 //! See `DESIGN.md` §12 for the frame layout, the status ↔ [`Outcome`]
 //! mapping table, the drain state machine, and quota semantics.
@@ -33,7 +33,7 @@ pub use frame::{
     WireRequest, WireStatus, DEFAULT_MAX_PAYLOAD, FLAG_TRACE_CONTEXT, HEADER_LEN, TRACE_EXT_LEN,
     WIRE_MAGIC, WIRE_VERSION,
 };
-pub use netfault::{NetFault, NetFaultKind, NetFaultPlan, NetFaultRates};
+pub use netfault::NetFaultKind;
 pub use quota::{QuotaConfig, QuotaLimit, TenantAccount, TenantQuotas};
 pub use server::{ConnSummary, DrainReport, WireConfig, WireServer};
 
@@ -42,6 +42,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    use apf_core::fault::{Fault, FaultPlan};
     use apf_telemetry::Telemetry;
 
     use crate::engine::{ServeConfig, ServeEngine};
@@ -138,9 +139,9 @@ mod tests {
         let engine = engine();
         let srv = server(&engine, QuotaConfig::default());
         // Faults on attempts 0 and 1; attempt 2 goes through clean.
-        let plan = NetFaultPlan::new(vec![
-            NetFault { nth: 0, kind: NetFaultKind::Garbage { len: 24 } },
-            NetFault { nth: 1, kind: NetFaultKind::TornWrite { keep_bytes: 11 } },
+        let plan = FaultPlan::new(vec![
+            Fault { lane: 0, nth: 0, kind: NetFaultKind::Garbage { len: 24 } },
+            Fault { lane: 0, nth: 1, kind: NetFaultKind::TornWrite { keep_bytes: 11 } },
         ]);
         let mut cli = client(srv.local_addr(), 3, 5).with_faults(plan);
         assert!(matches!(cli.call(&segment_request(16)), Ok(WireStatus::Ok { .. })));
@@ -157,7 +158,8 @@ mod tests {
         let engine = engine();
         let srv = server(&engine, QuotaConfig::default());
         // Stall far past the 60 ms server read deadline mid-header.
-        let plan = NetFaultPlan::new(vec![NetFault {
+        let plan = FaultPlan::new(vec![Fault {
+            lane: 0,
             nth: 0,
             kind: NetFaultKind::StalledWrite { keep_bytes: 9, stall_ms: 250 },
         }]);

@@ -1,10 +1,10 @@
 //! Seeded network-fault injection at the socket layer.
 //!
-//! The engine already has `ServeFaultPlan` for in-process faults; this is
-//! its byte-level sibling. A [`NetFaultPlan`] is a deterministic schedule
-//! keyed by a client's attempt counter; when an attempt is faulted, the
-//! client's send path mangles the connection instead of (or while)
-//! transmitting the request frame:
+//! A client carries a seeded
+//! [`FaultPlan<NetFaultKind>`](apf_core::fault::FaultPlan) on lane 0,
+//! keyed by its attempt counter; when an attempt is faulted, the client's
+//! send path mangles the connection instead of (or while) transmitting
+//! the request frame:
 //!
 //! * **Torn write** — only a prefix of the frame goes out before the
 //!   socket is shut down. The server must answer with a typed
@@ -20,6 +20,8 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use super::frame::HEADER_LEN;
 
 /// One kind of injected socket mischief.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,108 +58,32 @@ impl NetFaultKind {
             NetFaultKind::Garbage { .. } => "garbage",
         }
     }
-}
 
-/// A fault scheduled for one attempt (client-local attempt counter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetFault {
-    /// 0-based attempt index the fault fires on.
-    pub nth: u64,
-    /// What happens to the socket.
-    pub kind: NetFaultKind,
-}
-
-/// Per-attempt probabilities for [`NetFaultPlan::random`].
-#[derive(Debug, Clone, Copy)]
-pub struct NetFaultRates {
-    /// Probability an attempt's frame is torn mid-write.
-    pub torn: f64,
-    /// Probability an attempt stalls mid-frame.
-    pub stall: f64,
-    /// Probability the connection drops before the frame.
-    pub disconnect: f64,
-    /// Probability the attempt sends garbage instead of a frame.
-    pub garbage: f64,
-    /// Stall duration range in milliseconds.
-    pub stall_ms: (u64, u64),
-}
-
-impl Default for NetFaultRates {
-    fn default() -> Self {
-        NetFaultRates {
-            torn: 0.05,
-            stall: 0.03,
-            disconnect: 0.04,
-            garbage: 0.04,
-            stall_ms: (40, 120),
+    /// The soak's per-attempt draw for
+    /// [`FaultPlan::random`](apf_core::fault::FaultPlan::random): a torn
+    /// write with probability 0.05, else a 40–120 ms mid-header stall with
+    /// 0.03, else a disconnect with 0.04, else garbage with 0.04.
+    /// `keep_bytes` of a torn write falls inside the header half the time
+    /// and mid-payload otherwise, so both torn shapes occur.
+    pub fn draw(rng: &mut ChaCha8Rng) -> Option<Self> {
+        if rng.gen_bool(0.05) {
+            let keep_bytes = if rng.gen_bool(0.5) {
+                rng.gen_range(1usize..HEADER_LEN)
+            } else {
+                rng.gen_range(HEADER_LEN..HEADER_LEN + 64)
+            };
+            Some(NetFaultKind::TornWrite { keep_bytes })
+        } else if rng.gen_bool(0.03) {
+            let keep_bytes = rng.gen_range(1usize..HEADER_LEN);
+            let stall_ms = rng.gen_range(40..=120);
+            Some(NetFaultKind::StalledWrite { keep_bytes, stall_ms })
+        } else if rng.gen_bool(0.04) {
+            Some(NetFaultKind::Disconnect)
+        } else if rng.gen_bool(0.04) {
+            Some(NetFaultKind::Garbage { len: rng.gen_range(1usize..96) })
+        } else {
+            None
         }
-    }
-}
-
-/// A deterministic schedule of socket faults for one client.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetFaultPlan {
-    events: Vec<NetFault>,
-}
-
-impl NetFaultPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        NetFaultPlan::default()
-    }
-
-    /// Builds a plan from explicit events.
-    pub fn new(mut events: Vec<NetFault>) -> Self {
-        events.sort_by_key(|e| e.nth);
-        events.dedup_by_key(|e| e.nth);
-        NetFaultPlan { events }
-    }
-
-    /// Seeded random plan over the first `attempts` attempts. Same
-    /// `(seed, attempts, rates)` -> same plan. At most one fault per slot.
-    /// `keep_bytes` draws small (inside the header) half the time and
-    /// mid-payload otherwise, so both torn shapes occur.
-    pub fn random(seed: u64, attempts: u64, rates: NetFaultRates) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut events = Vec::new();
-        for nth in 0..attempts {
-            if rng.gen_bool(rates.torn) {
-                let keep_bytes = if rng.gen_bool(0.5) {
-                    rng.gen_range(1usize..super::frame::HEADER_LEN)
-                } else {
-                    rng.gen_range(super::frame::HEADER_LEN..super::frame::HEADER_LEN + 64)
-                };
-                events.push(NetFault { nth, kind: NetFaultKind::TornWrite { keep_bytes } });
-            } else if rng.gen_bool(rates.stall) {
-                let keep_bytes = rng.gen_range(1usize..super::frame::HEADER_LEN);
-                let stall_ms = rng.gen_range(rates.stall_ms.0..=rates.stall_ms.1);
-                events.push(NetFault { nth, kind: NetFaultKind::StalledWrite { keep_bytes, stall_ms } });
-            } else if rng.gen_bool(rates.disconnect) {
-                events.push(NetFault { nth, kind: NetFaultKind::Disconnect });
-            } else if rng.gen_bool(rates.garbage) {
-                let len = rng.gen_range(1usize..96);
-                events.push(NetFault { nth, kind: NetFaultKind::Garbage { len } });
-            }
-        }
-        NetFaultPlan { events }
-    }
-
-    /// The fault, if any, for the `nth` attempt.
-    pub fn fault_for(&self, nth: u64) -> Option<NetFaultKind> {
-        self.events
-            .binary_search_by_key(&nth, |e| e.nth)
-            .ok()
-            .map(|i| self.events[i].kind)
-    }
-
-    /// All scheduled events.
-    pub fn events(&self) -> &[NetFault] {
-        &self.events
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Seeded garbage bytes for a [`NetFaultKind::Garbage`] attempt —
@@ -175,18 +101,39 @@ impl NetFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apf_core::fault::FaultPlan;
+    use NetFaultKind::*;
 
     #[test]
-    fn plans_replay_exactly() {
-        let a = NetFaultPlan::random(3, 200, NetFaultRates::default());
-        let b = NetFaultPlan::random(3, 200, NetFaultRates::default());
-        assert_eq!(a, b);
-        assert_ne!(a, NetFaultPlan::random(4, 200, NetFaultRates::default()));
+    fn default_draw_reproduces_the_golden_seed_7_plan() {
+        let plan = FaultPlan::random(7, 1, 100, NetFaultKind::draw);
+        let got: Vec<_> = plan.events().iter().map(|e| (e.lane, e.nth, e.kind)).collect();
+        assert_eq!(
+            got,
+            [
+                (0, 11, Disconnect),
+                (0, 20, TornWrite { keep_bytes: 23 }),
+                (0, 31, Disconnect),
+                (0, 33, Disconnect),
+                (0, 35, StalledWrite { keep_bytes: 24, stall_ms: 82 }),
+                (0, 38, Disconnect),
+                (0, 40, Garbage { len: 1 }),
+                (0, 45, Disconnect),
+                (0, 46, TornWrite { keep_bytes: 50 }),
+                (0, 55, TornWrite { keep_bytes: 18 }),
+                (0, 64, TornWrite { keep_bytes: 90 }),
+                (0, 71, StalledWrite { keep_bytes: 11, stall_ms: 114 }),
+                (0, 77, TornWrite { keep_bytes: 90 }),
+                (0, 87, Disconnect),
+                (0, 97, Disconnect),
+                (0, 98, Disconnect),
+            ]
+        );
     }
 
     #[test]
     fn all_fault_kinds_appear_at_default_rates() {
-        let plan = NetFaultPlan::random(11, 2000, NetFaultRates::default());
+        let plan = FaultPlan::random(11, 1, 2000, NetFaultKind::draw);
         let mut labels: Vec<&str> = plan.events().iter().map(|e| e.kind.label()).collect();
         labels.sort();
         labels.dedup();
@@ -196,21 +143,10 @@ mod tests {
     #[test]
     fn garbage_never_masquerades_as_a_frame() {
         for nth in 0..64 {
-            let g = NetFaultPlan::garbage_bytes(5, nth, 16);
+            let g = NetFaultKind::garbage_bytes(5, nth, 16);
             assert_eq!(g.len(), 16);
             assert_ne!(&g[..4], b"APFW");
-            assert_eq!(g, NetFaultPlan::garbage_bytes(5, nth, 16));
+            assert_eq!(g, NetFaultKind::garbage_bytes(5, nth, 16));
         }
-    }
-
-    #[test]
-    fn lookup_is_by_attempt() {
-        let plan = NetFaultPlan::new(vec![
-            NetFault { nth: 4, kind: NetFaultKind::Disconnect },
-            NetFault { nth: 2, kind: NetFaultKind::Garbage { len: 8 } },
-        ]);
-        assert_eq!(plan.fault_for(2), Some(NetFaultKind::Garbage { len: 8 }));
-        assert_eq!(plan.fault_for(4), Some(NetFaultKind::Disconnect));
-        assert_eq!(plan.fault_for(3), None);
     }
 }

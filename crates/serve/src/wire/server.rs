@@ -242,8 +242,8 @@ pub struct DrainReport {
     pub conn_panics: u64,
     /// Connections turned away at the cap.
     pub conn_limit_rejections: u64,
-    /// Per-connection summaries: at most [`REAPED_SUMMARIES_KEPT`] of the
-    /// most recently closed connections, plus every connection live at
+    /// Per-connection summaries: at most `REAPED_SUMMARIES_KEPT` (4096) of
+    /// the most recently closed connections, plus every connection live at
     /// drain time.
     pub connections: Vec<ConnSummary>,
     /// Per-tenant quota ledgers (exact by construction).

@@ -8,14 +8,14 @@
 
 use std::time::Duration;
 
+use apf_core::fault::{Fault, FaultPlan};
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_imaging::GrayImage;
 use apf_models::cancel::CancelToken;
 use apf_models::vit::ViTSegmenter;
 use apf_serve::{
     batch_aware_retry_after, BatchConfig, CacheKey, ContentKey, DeadlineStage, FailureReason,
-    InferenceFault, InferenceFaultKind, Outcome, SegRequest, ServeConfig, ServeEngine,
-    ServeFaultPlan, VariantKey,
+    InferenceFaultKind, Outcome, SegRequest, ServeConfig, ServeEngine, VariantKey,
 };
 use apf_tensor::prelude::*;
 
@@ -120,8 +120,8 @@ fn linger_window_expiry_is_a_typed_batching_eviction() {
 fn injected_nan_stays_confined_to_its_batch_sample() {
     let mut cfg = ServeConfig::small_batched(4, 80);
     cfg.workers = 1;
-    cfg.faults = ServeFaultPlan::new(vec![InferenceFault {
-        worker: 0,
+    cfg.faults = FaultPlan::new(vec![Fault {
+        lane: 0,
         nth: 0,
         kind: InferenceFaultKind::NonFiniteOutput,
     }]);
@@ -165,7 +165,7 @@ fn retry_hints_account_for_the_linger_window() {
 fn stalled_outcomes(mut cfg: ServeConfig, deadlines: &[Option<u64>]) -> Vec<Outcome> {
     cfg.workers = 1;
     let stall = InferenceFaultKind::SlowInference { delay_ms: 300 };
-    cfg.faults = ServeFaultPlan::none().with_burst(0, 0, 1, stall);
+    cfg.faults = FaultPlan::none().with_burst(0, 0, 1, stall);
     let engine = ServeEngine::start(cfg);
     let submit = |(id, &deadline_ms)| {
         engine.submit(SegRequest { id, image: test_image(id), deadline_ms })

@@ -1,6 +1,6 @@
 //! Reverse-mode automatic differentiation on a flat tape.
 //!
-//! A [`Graph`] is a tape of [`Node`]s created in topological order; every op
+//! A [`Graph`] is a tape of `Node`s created in topological order; every op
 //! constructor ([`Graph::matmul`], [`Graph::conv2d`], ...) appends a node and
 //! returns a lightweight [`Var`] handle. [`Graph::backward`] walks the tape in
 //! reverse, accumulating gradients into each node.
@@ -101,7 +101,7 @@ pub enum Op {
     /// `[BH, Lk, Dh]` k/v, never materializing the `Lq x Lk` scores.
     /// `key_bias` (`[BH, Lk]`, not differentiated) is the key-padding mask
     /// as an additive score bias. Backward recomputes score tiles from the
-    /// log-sum-exp saved in [`Aux::Lse`].
+    /// log-sum-exp saved in its `Aux::Lse` side output.
     FusedAttention {
         q: Var,
         k: Var,

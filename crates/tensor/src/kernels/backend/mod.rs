@@ -4,7 +4,7 @@
 //! elementwise kernels all bottom out in a handful of register-tiled inner
 //! loops. This module makes those loops explicit per instruction set: one
 //! [`MicroKernelBackend`] trait, one implementation module per ISA
-//! ([`avx2`], [`sse2`], [`neon`], [`scalar`]), and a dispatch layer that
+//! (`avx2`, `sse2`, `neon`, `scalar`), and a dispatch layer that
 //! picks the best available backend once per process via runtime
 //! CPU-feature detection.
 //!
@@ -27,7 +27,7 @@
 //! architecture, or not supported by the running CPU yield a typed
 //! [`BackendError`] from [`kernel_backend`] / [`force_backend`] — never a
 //! panic and never a silent scalar fallback. The infallible hot path
-//! ([`active`]) must still return *some* backend, so an invalid
+//! (`active`) must still return *some* backend, so an invalid
 //! environment override falls back to the best detected backend loudly:
 //! once per process it prints the typed error to stderr and it bumps the
 //! `apf_tensor_backend_override_invalid_total` counter on every dispatch.
@@ -458,7 +458,7 @@ pub fn force_backend(kind: Option<BackendKind>) -> Result<(), BackendError> {
 
 /// The backend selection currently in effect, with override errors
 /// surfaced as typed values. This is the startup/introspection API; the
-/// hot path uses [`active`].
+/// hot path uses `active`.
 pub fn kernel_backend() -> Result<BackendKind, BackendError> {
     resolve(forced_kind(), env_override(), detected_features())
 }

@@ -111,7 +111,7 @@ pub fn col2im(cols_mat: &[f32], c: usize, h: usize, w: usize, g: ConvGeom, img: 
 
 /// Forward conv2d: `x [B,Cin,H,W] * w [Cout,Cin,K,K] + b [Cout]` -> `[B,Cout,Ho,Wo]`.
 ///
-/// Fast mode lowers via im2col + SGEMM (see [`conv_gemm`] for the
+/// Fast mode lowers via im2col + SGEMM (see `conv_gemm` for the
 /// small-`Cout` transposed variant); naive kernel mode takes
 /// [`conv2d_direct`].
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {

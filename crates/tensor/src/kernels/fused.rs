@@ -11,8 +11,8 @@
 //!
 //! The bit-exactness contract extends through the [`super::backend`]
 //! layer: the layernorm affine loop and the bias+GELU loop route through
-//! [`MicroKernelBackend::ln_affine_row`] /
-//! [`MicroKernelBackend::bias_gelu_row`], whose trait contract forbids
+//! [`super::backend::MicroKernelBackend::ln_affine_row`] /
+//! [`super::backend::MicroKernelBackend::bias_gelu_row`], whose trait contract forbids
 //! FMA contraction or reordering — a vectorized override must produce the
 //! exact scalar bits. The mean/variance reductions stay in scalar
 //! summation order here, outside the backend, for the same reason.

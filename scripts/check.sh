@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full pre-merge gate: release build, test suite, and lint-clean clippy.
+# Full pre-merge gate: release build, test suite, lint-clean clippy and
+# rustdoc, then the runtime soak and bench gates.
 # Run from anywhere; operates on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,6 +16,9 @@ cargo test --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc gate (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> serve_soak resilience gate"
 # A failed soak must not leave yesterday's results lying around looking
