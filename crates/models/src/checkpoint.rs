@@ -1,9 +1,7 @@
 //! Model checkpointing: crash-safe, integrity-checked binary serialization
 //! of a [`ParamSet`] plus optional training state.
 //!
-//! Two on-disk formats are understood:
-//!
-//! **APF2** (written by this version, little-endian):
+//! The on-disk format is **APF2** (little-endian):
 //!
 //! ```text
 //! magic "APF2" | u32 param count
@@ -21,9 +19,6 @@
 //! rename), so a crash mid-write can never destroy the previous good
 //! checkpoint.
 //!
-//! **APF1** (legacy, still readable): the same per-param records without
-//! CRCs, aux sections, or trailer.
-//!
 //! Loading verifies names, shapes, and ordering against the target model's
 //! parameter set, so a checkpoint can only be restored into the
 //! architecture that produced it.
@@ -37,8 +32,7 @@ use apf_tensor::tensor::Tensor;
 
 use crate::params::ParamSet;
 
-const MAGIC_V1: &[u8; 4] = b"APF1";
-const MAGIC_V2: &[u8; 4] = b"APF2";
+const MAGIC: &[u8; 4] = b"APF2";
 
 /// Largest accepted parameter-name length, in bytes.
 const MAX_NAME_LEN: usize = 4096;
@@ -58,7 +52,7 @@ pub enum CheckpointError {
         /// Bytes actually remaining.
         available: usize,
     },
-    /// The first four bytes are neither `APF1` nor `APF2`.
+    /// The first four bytes are not `APF2`.
     BadMagic {
         /// What was found instead.
         found: [u8; 4],
@@ -266,7 +260,7 @@ pub fn to_bytes(params: &ParamSet) -> Vec<u8> {
 /// Serializes a parameter set plus training state into APF2 bytes.
 pub fn to_bytes_with_state(params: &ParamSet, state: &TrainState) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + params.num_scalars() * 4);
-    out.extend_from_slice(MAGIC_V2);
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(params.len() as u32).to_le_bytes());
     for (_, name, tensor) in params.iter() {
         put_tensor_record(&mut out, name, tensor);
@@ -286,28 +280,6 @@ pub fn to_bytes_with_state(params: &ParamSet, state: &TrainState) -> Vec<u8> {
         out.extend_from_slice(&value.to_le_bytes());
     }
     out.extend_from_slice(&crc32(&out).to_le_bytes());
-    out
-}
-
-/// Serializes a parameter set into the legacy APF1 format (no checksums).
-/// Kept for interoperability tests; new checkpoints should use [`to_bytes`].
-pub fn to_bytes_v1(params: &ParamSet) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + params.num_scalars() * 4);
-    out.extend_from_slice(MAGIC_V1);
-    out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for (_, name, tensor) in params.iter() {
-        let name_bytes = name.as_bytes();
-        out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(name_bytes);
-        let dims = tensor.dims();
-        out.push(dims.len() as u8);
-        for &d in dims {
-            out.extend_from_slice(&(d as u64).to_le_bytes());
-        }
-        for &v in tensor.data() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
     out
 }
 
@@ -463,26 +435,18 @@ pub fn from_bytes(params: &mut ParamSet, bytes: &[u8]) -> Result<(), CheckpointE
 
 /// Restores parameter values and training state from a byte buffer.
 ///
-/// Accepts both APF2 and legacy APF1 checkpoints; the latter yield an empty
-/// [`TrainState`].
+/// # Errors
+/// Returns a [`CheckpointError`] naming the defect if the buffer is
+/// malformed, corrupt, or does not match the parameter set.
 pub fn from_bytes_with_state(
     params: &mut ParamSet,
     bytes: &[u8],
 ) -> Result<TrainState, CheckpointError> {
     let mut cur = Cursor::new(bytes);
     let magic: [u8; 4] = cur.take(4)?.try_into().unwrap();
-    match &magic {
-        m if m == MAGIC_V2 => from_bytes_v2(params, bytes, cur),
-        m if m == MAGIC_V1 => from_bytes_v1(params, cur).map(|()| TrainState::default()),
-        _ => Err(CheckpointError::BadMagic { found: magic }),
+    if &magic != MAGIC {
+        return Err(CheckpointError::BadMagic { found: magic });
     }
-}
-
-fn from_bytes_v2(
-    params: &mut ParamSet,
-    bytes: &[u8],
-    mut cur: Cursor<'_>,
-) -> Result<TrainState, CheckpointError> {
     // Verify the trailer first: any single corrupted byte anywhere in the
     // file fails here even if it would also parse "successfully".
     if bytes.len() < 8 {
@@ -543,57 +507,6 @@ fn from_bytes_v2(
     Ok(state)
 }
 
-/// Legacy APF1 reader: no checksums, but fully bounds-checked.
-fn from_bytes_v1(params: &mut ParamSet, mut cur: Cursor<'_>) -> Result<(), CheckpointError> {
-    let count = cur.u32()? as usize;
-    if count != params.len() {
-        return Err(CheckpointError::CountMismatch { checkpoint: count, model: params.len() });
-    }
-    let ids: Vec<_> = params.iter().map(|(id, _, _)| id).collect();
-    for id in ids {
-        let name = cur.name()?;
-        let rank = cur.u8()? as usize;
-        if rank > MAX_RANK {
-            return Err(CheckpointError::Oversized {
-                field: "tensor rank",
-                value: rank as u64,
-                limit: MAX_RANK as u64,
-            });
-        }
-        let mut dims = Vec::with_capacity(rank);
-        let mut numel: usize = 1;
-        for _ in 0..rank {
-            let d = cur.u64()?;
-            let d = usize::try_from(d).map_err(|_| CheckpointError::Oversized {
-                field: "tensor dim",
-                value: d,
-                limit: usize::MAX as u64,
-            })?;
-            numel = numel.checked_mul(d).ok_or(CheckpointError::Oversized {
-                field: "tensor element count",
-                value: u64::MAX,
-                limit: usize::MAX as u64,
-            })?;
-            dims.push(d);
-        }
-        let byte_len = numel.checked_mul(4).ok_or(CheckpointError::Oversized {
-            field: "tensor byte length",
-            value: numel as u64,
-            limit: (usize::MAX / 4) as u64,
-        })?;
-        let raw = cur.take(byte_len)?;
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        restore_param(params, id, name, dims, data)?;
-    }
-    if cur.remaining() != 0 {
-        return Err(CheckpointError::TrailingBytes { extra: cur.remaining() });
-    }
-    Ok(())
-}
-
 /// Writes `bytes` to `path` atomically: the data lands in a temporary file
 /// in the same directory, is flushed to disk, and is then renamed over the
 /// destination. A crash at any point leaves either the old file or the new
@@ -636,8 +549,7 @@ pub fn save_with_state(
     atomic_write(path.as_ref(), &to_bytes_with_state(params, state))
 }
 
-/// Loads a parameter set from a file (names/shapes must match). Reads both
-/// APF2 and legacy APF1 checkpoints.
+/// Loads a parameter set from a file (names/shapes must match).
 pub fn load(params: &mut ParamSet, path: impl AsRef<Path>) -> io::Result<()> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -724,13 +636,21 @@ mod tests {
         assert!(from_bytes(&mut fresh.params, b"NOPE").is_err());
     }
 
+    /// Appends a valid trailer CRC to `body`, so the loader gets past the
+    /// trailer check and its record parser meets whatever `body` holds.
+    fn seal(body: &[u8]) -> Vec<u8> {
+        let mut bytes = body.to_vec();
+        bytes.extend_from_slice(&crc32(body).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn truncation_error_names_offset_and_need() {
         let model = Unetr2d::new(UnetrConfig::tiny(2, 2, GridOrder::Morton), 1);
-        let bytes = to_bytes_v1(&model.params);
+        let bytes = to_bytes(&model.params);
         let cut = bytes.len() / 3;
         let mut fresh = Unetr2d::new(UnetrConfig::tiny(2, 2, GridOrder::Morton), 1);
-        match from_bytes(&mut fresh.params, &bytes[..cut]) {
+        match from_bytes(&mut fresh.params, &seal(&bytes[..cut])) {
             Err(CheckpointError::Truncated { offset, needed, available }) => {
                 assert!(offset <= cut);
                 assert!(needed > available);
@@ -741,36 +661,23 @@ mod tests {
 
     #[test]
     fn oversized_dims_are_rejected_without_panic() {
-        // Hand-craft an APF1 record whose dims product overflows usize.
+        // Hand-craft an APF2 record whose dims product overflows usize.
         let mut ps = ParamSet::new();
         ps.add("w", Tensor::zeros([2, 2]));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&1u16.to_le_bytes());
-        bytes.extend_from_slice(b"w");
-        bytes.push(2); // rank 2
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = from_bytes(&mut ps, &bytes).unwrap_err();
+        let mut body = Vec::new();
+        body.extend_from_slice(MAGIC);
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&1u16.to_le_bytes());
+        body.extend_from_slice(b"w");
+        body.push(2); // rank 2
+        body.extend_from_slice(&u64::MAX.to_le_bytes());
+        body.extend_from_slice(&u64::MAX.to_le_bytes());
+        let err = from_bytes(&mut ps, &seal(&body)).unwrap_err();
         assert!(
             matches!(err, CheckpointError::Oversized { .. }),
             "expected Oversized, got {}",
             err
         );
-    }
-
-    #[test]
-    fn legacy_v1_checkpoints_still_load() {
-        let model = Unetr2d::new(UnetrConfig::tiny(2, 2, GridOrder::Morton), 8);
-        let v1 = to_bytes_v1(&model.params);
-        assert_eq!(&v1[..4], MAGIC_V1);
-        let mut fresh = Unetr2d::new(UnetrConfig::tiny(2, 2, GridOrder::Morton), 9);
-        let state = from_bytes_with_state(&mut fresh.params, &v1).unwrap();
-        assert!(state.is_empty());
-        for ((_, n, a), (_, _, b)) in model.params.iter().zip(fresh.params.iter()) {
-            assert_eq!(a.to_vec(), b.to_vec(), "param {}", n);
-        }
     }
 
     #[test]

@@ -38,17 +38,11 @@ impl Linear {
 
     /// Applies the layer followed by GELU as one fused `gelu(xW + b)` node
     /// (bias-add and activation share a single output buffer; the row loop
-    /// routes through the selected SIMD backend and is bit-identical on
-    /// every backend by contract). Under `APF_NAIVE_KERNELS` this falls
-    /// back to the unfused `badd` + `gelu` pair.
+    /// routes through the selected SIMD backend and, by contract, matches
+    /// the unfused `badd` then `gelu` pair bit for bit on every backend).
     pub fn forward_bias_gelu(&self, g: &mut Graph, bp: &BoundParams, x: Var) -> Var {
         let y = g.matmul(x, bp.var(self.w));
-        if apf_tensor::kernels::naive_kernels() {
-            let y = g.badd(y, bp.var(self.b));
-            g.gelu(y)
-        } else {
-            g.bias_gelu(y, bp.var(self.b))
-        }
+        g.bias_gelu(y, bp.var(self.b))
     }
 }
 

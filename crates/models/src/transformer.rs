@@ -46,13 +46,11 @@ impl MultiHeadAttention {
     /// Use this when sequences are padded to a fixed `L` (Algorithm 1's
     /// zero-padding) so padding cannot dilute the attention of real tokens.
     ///
-    /// The score computation dispatches on the kernel mode: the default is
-    /// the fused streaming kernel (one graph node, no `[B*H, L, L]` score
-    /// tensor), whose mini-GEMM tiles and softmax `exp` run on the SIMD
-    /// backend selected by `apf_tensor::kernels::backend` (overridable via
-    /// `APF_KERNEL_BACKEND`); `APF_NAIVE_KERNELS` rebuilds the original
-    /// materialized matmul/softmax subgraph for bisection and never
-    /// consults the backend layer.
+    /// The scores run through the fused streaming kernel: one graph node,
+    /// no `[B*H, L, L]` score tensor, with its mini-GEMM tiles and softmax
+    /// `exp` on the SIMD backend selected by `apf_tensor::kernels::backend`
+    /// (overridable via `APF_KERNEL_BACKEND`). The mask shrinks to a
+    /// per-key bias row (`[B*H, L]` instead of `[B*H, L, L]`).
     pub fn forward_with_key_mask(
         &self,
         g: &mut Graph,
@@ -81,47 +79,20 @@ impl MultiHeadAttention {
         let v = split_heads(g, v, b, l, self.heads, dh);
         let scale = 1.0 / (dh as f32).sqrt();
 
-        let out = if apf_tensor::kernels::naive_kernels() {
-            let kt = g.transpose_last(k);
-            let mut scores = g.matmul(q, kt); // [B*H, L, L]
-            scores = g.scale(scores, scale);
-            if let Some(mask) = key_mask {
-                // Additive bias: -1e9 on masked keys, tiled over heads and
-                // query rows.
-                let mut bias = Vec::with_capacity(b * self.heads * l * l);
-                for sample_mask in mask {
-                    let row: Vec<f32> = sample_mask
-                        .iter()
-                        .map(|&keep| if keep { 0.0 } else { -1e9 })
-                        .collect();
-                    for _ in 0..self.heads * l {
-                        bias.extend_from_slice(&row);
-                    }
+        let key_bias = key_mask.map(|mask| {
+            let mut bias = Vec::with_capacity(b * self.heads * l);
+            for sample_mask in mask {
+                let row: Vec<f32> = sample_mask
+                    .iter()
+                    .map(|&keep| if keep { 0.0 } else { -1e9 })
+                    .collect();
+                for _ in 0..self.heads {
+                    bias.extend_from_slice(&row);
                 }
-                let bias = g.constant(Tensor::new([b * self.heads, l, l], bias));
-                scores = g.add(scores, bias);
             }
-            let attn = g.softmax(scores);
-            g.matmul(attn, v) // [B*H, L, Dh]
-        } else {
-            // Fused path: the mask shrinks to a per-key bias row ([B*H, L]
-            // instead of [B*H, L, L]) and the scores never materialize.
-            let key_bias = key_mask.map(|mask| {
-                let mut bias = Vec::with_capacity(b * self.heads * l);
-                for sample_mask in mask {
-                    let row: Vec<f32> = sample_mask
-                        .iter()
-                        .map(|&keep| if keep { 0.0 } else { -1e9 })
-                        .collect();
-                    for _ in 0..self.heads {
-                        bias.extend_from_slice(&row);
-                    }
-                }
-                std::sync::Arc::new(bias)
-            });
-            g.fused_attention(q, k, v, scale, key_bias)
-        };
-
+            std::sync::Arc::new(bias)
+        });
+        let out = g.fused_attention(q, k, v, scale, key_bias);
         let out = merge_heads(g, out, b, l, self.heads, dh);
         self.wo.forward(g, bp, out)
     }
@@ -147,21 +118,9 @@ impl EncoderBlock {
         }
     }
 
-    /// Applies the block.
-    pub fn forward(&self, g: &mut Graph, bp: &BoundParams, x: Var) -> Var {
-        self.forward_with_key_mask(g, bp, x, None)
-    }
-
     /// Applies the block with an optional key-padding mask on the attention
     /// (LayerNorm and the MLP are per-token, so only attention needs it).
-    /// With `None` this is byte-for-byte the unmasked [`EncoderBlock::forward`].
-    pub fn forward_with_key_mask(
-        &self,
-        g: &mut Graph,
-        bp: &BoundParams,
-        x: Var,
-        key_mask: Option<&[Vec<bool>]>,
-    ) -> Var {
+    pub fn forward(&self, g: &mut Graph, bp: &BoundParams, x: Var, key_mask: Option<&[Vec<bool>]>) -> Var {
         let h = self.ln1.forward(g, bp, x);
         let h = self.attn.forward_with_key_mask(g, bp, h, key_mask);
         let x = g.add(x, h);
@@ -210,7 +169,7 @@ impl TransformerEncoder {
         let mut h = x;
         let mut skips = Vec::with_capacity(self.blocks.len());
         for blk in &self.blocks {
-            h = blk.forward(g, bp, h);
+            h = blk.forward(g, bp, h, None);
             skips.push(h);
         }
         (self.final_ln.forward(g, bp, h), skips)
@@ -242,7 +201,7 @@ impl TransformerEncoder {
             if cancel.is_cancelled() {
                 return Err(Cancelled { completed_blocks: i, total_blocks: self.blocks.len() });
             }
-            h = blk.forward_with_key_mask(g, bp, h, key_mask);
+            h = blk.forward(g, bp, h, key_mask);
         }
         Ok(self.final_ln.forward(g, bp, h))
     }
@@ -345,7 +304,7 @@ mod tests {
         let mut g = Graph::new();
         let bp = ps.bind(&mut g);
         let x = g.constant(Tensor::rand_uniform([2, 4, 8], -1.0, 1.0, 6));
-        let y = blk.forward(&mut g, &bp, x);
+        let y = blk.forward(&mut g, &bp, x, None);
         let sq = g.mul(y, y);
         let l = g.mean_all(sq);
         g.backward(l);
@@ -369,38 +328,76 @@ mod tests {
         }
     }
 
+    /// The materialized reference for [`MultiHeadAttention`]: the same
+    /// projections around `softmax(Q·Kᵀ·scale + bias)·V`, with the
+    /// `[B*H, L, L]` score tensor and a `-1e9` additive bias on masked keys.
+    fn reference_attention(
+        attn: &MultiHeadAttention,
+        g: &mut Graph,
+        bp: &BoundParams,
+        x: Var,
+        key_mask: Option<&[Vec<bool>]>,
+    ) -> Var {
+        let (b, l) = (g.value(x).dims()[0], g.value(x).dims()[1]);
+        let (heads, dh) = (attn.heads, attn.dim / attn.heads);
+        let q = attn.wq.forward(g, bp, x);
+        let k = attn.wk.forward(g, bp, x);
+        let v = attn.wv.forward(g, bp, x);
+        let q = split_heads(g, q, b, l, heads, dh);
+        let k = split_heads(g, k, b, l, heads, dh);
+        let v = split_heads(g, v, b, l, heads, dh);
+        let kt = g.transpose_last(k);
+        let scores = g.matmul(q, kt);
+        let mut scores = g.scale(scores, 1.0 / (dh as f32).sqrt());
+        if let Some(mask) = key_mask {
+            let mut bias = Vec::with_capacity(b * heads * l * l);
+            for sample_mask in mask {
+                let row: Vec<f32> = sample_mask.iter().map(|&keep| if keep { 0.0 } else { -1e9 }).collect();
+                for _ in 0..heads * l {
+                    bias.extend_from_slice(&row);
+                }
+            }
+            let bias = g.constant(Tensor::new([b * heads, l, l], bias));
+            scores = g.add(scores, bias);
+        }
+        let probs = g.softmax(scores);
+        let out = g.matmul(probs, v);
+        let out = merge_heads(g, out, b, l, heads, dh);
+        attn.wo.forward(g, bp, out)
+    }
+
     #[test]
-    fn fused_attention_avoids_score_matrix_and_matches_naive_path() {
-        // The fused kernel is the default; its defining property is that no
-        // [B*H, L, L] score tensor ever appears on the tape, while the
-        // output matches the materialized matmul/softmax path.
+    fn fused_attention_avoids_score_matrix_and_matches_reference() {
+        // The fused kernel's defining property: no [B*H, L, L] score tensor
+        // ever appears on the tape, while the output matches the
+        // materialized softmax(Q·Kᵀ·scale + bias)·V reference.
+        let (b, l, heads) = (2, 6, 2);
         let mut ps = ParamSet::new();
-        let attn = MultiHeadAttention::new(&mut ps, "a", 4, 1, 9);
-        let x = Tensor::rand_uniform([1, 6, 4], -1.0, 1.0, 10);
+        let attn = MultiHeadAttention::new(&mut ps, "a", 8, heads, 9);
+        let x = Tensor::rand_uniform([b, l, 8], -1.0, 1.0, 10);
+        let ragged = vec![
+            vec![true, true, true, true, false, false],
+            vec![true, true, false, false, false, false],
+        ];
+        let score_dims = [b * heads, l, l];
+        for key_mask in [None, Some(ragged.as_slice())] {
+            let mut g = Graph::new();
+            let bp = ps.bind(&mut g);
+            let xv = g.constant(x.clone());
+            let before = g.len();
+            let fused = attn.forward_with_key_mask(&mut g, &bp, xv, key_mask);
+            let has_score_node = (before..g.len()).any(|i| g.node_value(i).dims() == score_dims);
+            assert!(!has_score_node, "fused path materialized an L x L score matrix");
 
-        apf_tensor::kernels::force_kernel_mode(Some(apf_tensor::kernels::KernelMode::Fast));
-        let mut g = Graph::new();
-        let bp = ps.bind(&mut g);
-        let xv = g.constant(x.clone());
-        let before = g.len();
-        let out_fast = attn.forward(&mut g, &bp, xv);
-        let fast_vals = g.value(out_fast).to_vec();
-        let has_score_node = (before..g.len()).any(|i| g.node_value(i).dims() == [1, 6, 6]);
-        assert!(!has_score_node, "fused path materialized an L x L score matrix");
+            let before = g.len();
+            let reference = reference_attention(&attn, &mut g, &bp, xv, key_mask);
+            let has_score_node = (before..g.len()).any(|i| g.node_value(i).dims() == score_dims);
+            assert!(has_score_node, "reference should materialize the L x L score matrix");
 
-        apf_tensor::kernels::force_kernel_mode(Some(apf_tensor::kernels::KernelMode::Naive));
-        let mut g = Graph::new();
-        let bp = ps.bind(&mut g);
-        let xv = g.constant(x);
-        let before = g.len();
-        let out_naive = attn.forward(&mut g, &bp, xv);
-        let naive_vals = g.value(out_naive).to_vec();
-        let has_score_node = (before..g.len()).any(|i| g.node_value(i).dims() == [1, 6, 6]);
-        assert!(has_score_node, "naive path should materialize the L x L score matrix");
-        apf_tensor::kernels::force_kernel_mode(None);
-
-        for (i, (f, n)) in fast_vals.iter().zip(naive_vals.iter()).enumerate() {
-            assert!((f - n).abs() < 1e-5, "elem {}: fused {} vs naive {}", i, f, n);
+            let (f, r) = (g.value(fused).to_vec(), g.value(reference).to_vec());
+            for (i, (f, r)) in f.iter().zip(r.iter()).enumerate() {
+                assert!((f - r).abs() < 1e-5, "mask {:?}, elem {}: fused {} vs reference {}", key_mask.is_some(), i, f, r);
+            }
         }
     }
 }

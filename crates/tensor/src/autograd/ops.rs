@@ -187,9 +187,8 @@ impl Graph {
     }
 
     /// Layer normalization over the last dim with affine parameters
-    /// `gamma`/`beta` of shape `[D]`. Dispatches between the row-parallel
-    /// fused kernel and its bit-identical sequential reference on
-    /// [`crate::kernels::kernel_mode`].
+    /// `gamma`/`beta` of shape `[D]`, computed by the row-parallel fused
+    /// kernel (bit-identical to its sequential reference).
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let xv = self.value(x);
         let (rows, d) = xv.shape().split_trailing(1);
@@ -200,11 +199,7 @@ impl Graph {
         let mut out = vec![0.0f32; xv.numel()];
         let mut means = vec![0.0f32; rows];
         let mut invstds = vec![0.0f32; rows];
-        if crate::kernels::naive_kernels() {
-            fused::layernorm_naive(xv.data(), gv, bv, eps, rows, d, &mut out, &mut means, &mut invstds);
-        } else {
-            fused::layernorm_forward(xv.data(), gv, bv, eps, rows, d, &mut out, &mut means, &mut invstds);
-        }
+        fused::layernorm_forward(xv.data(), gv, bv, eps, rows, d, &mut out, &mut means, &mut invstds);
         let v = Tensor::new(xv.shape().clone(), out);
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         let aux = Aux::Moments {

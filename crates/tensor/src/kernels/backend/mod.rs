@@ -10,12 +10,7 @@
 //!
 //! ## Selection precedence
 //!
-//! The *kernel mode* ([`super::kernel_mode`]) is consulted first: when it
-//! is [`super::KernelMode::Naive`] (via `APF_NAIVE_KERNELS` or
-//! [`super::force_kernel_mode`]), dispatch sites take the textbook
-//! reference kernels and no backend runs at all — a naive-mode test can
-//! never accidentally execute SIMD. Only in fast mode does the backend
-//! selection apply, in this order:
+//! Every fast-path dispatch site selects a backend in this order:
 //!
 //! 1. [`force_backend`] — programmatic override (tests, benches);
 //! 2. `APF_KERNEL_BACKEND` — environment override (`avx2`, `sse2`,

@@ -11,8 +11,7 @@
 //! `conv_transpose2d` is the adjoint: a GEMM followed by `col2im`.
 //!
 //! [`conv2d_direct`] is the textbook quadruple-loop reference: the
-//! differential oracle's ground truth for the im2col lowering, and the
-//! path `conv2d` takes in naive kernel mode (`APF_NAIVE_KERNELS`).
+//! differential oracle's ground truth for the im2col lowering.
 
 use rayon::prelude::*;
 
@@ -111,13 +110,9 @@ pub fn col2im(cols_mat: &[f32], c: usize, h: usize, w: usize, g: ConvGeom, img: 
 
 /// Forward conv2d: `x [B,Cin,H,W] * w [Cout,Cin,K,K] + b [Cout]` -> `[B,Cout,Ho,Wo]`.
 ///
-/// Fast mode lowers via im2col + SGEMM (see `conv_gemm` for the
-/// small-`Cout` transposed variant); naive kernel mode takes
-/// [`conv2d_direct`].
+/// Lowers via im2col + SGEMM (see `conv_gemm` for the small-`Cout`
+/// transposed variant); [`conv2d_direct`] is its reference.
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, g: ConvGeom) -> Tensor {
-    if crate::kernels::naive_kernels() {
-        return conv2d_direct(x, weight, bias, g);
-    }
     let [b, cin, h, w] = dims4(x);
     let wd = weight.dims();
     assert_eq!(wd.len(), 4, "conv2d weight must be [Cout,Cin,K,K]");
@@ -467,24 +462,6 @@ mod tests {
         let w = Tensor::rand_uniform([2, 3, 3, 3], -1.0, 1.0, 12);
         let b = Tensor::rand_uniform([2], -0.5, 0.5, 13);
         close(&conv2d(&x, &w, Some(&b), g), &conv2d_direct(&x, &w, Some(&b), g), 1e-4);
-    }
-
-    #[test]
-    fn naive_mode_dispatches_to_direct() {
-        // In naive mode conv2d must produce conv2d_direct's exact bits
-        // (it *is* conv2d_direct), proving SIMD cannot leak into a
-        // naive-mode run through the conv path.
-        let g = ConvGeom { kernel: 2, stride: 2, pad: 0 };
-        let x = Tensor::rand_uniform([2, 2, 8, 8], -1.0, 1.0, 14);
-        let w = Tensor::rand_uniform([3, 2, 2, 2], -1.0, 1.0, 15);
-        crate::kernels::force_kernel_mode(Some(crate::kernels::KernelMode::Naive));
-        let got = conv2d(&x, &w, None, g);
-        crate::kernels::force_kernel_mode(None);
-        let want = conv2d_direct(&x, &w, None, g);
-        assert_eq!(
-            got.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

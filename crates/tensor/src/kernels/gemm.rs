@@ -13,8 +13,8 @@
 //! measures.
 //!
 //! The reference ([`gemm_naive`]) is the original row-streaming loop: one
-//! pass over all of B per output row. It is kept as the differential
-//! oracle's ground truth and the `APF_NAIVE_KERNELS` bisection baseline.
+//! pass over all of B per output row. It is the differential oracle's
+//! ground truth, and [`gemm`] uses it for products too small to pack.
 //! It deliberately has **no** `a == 0.0` skip: skipping would turn
 //! `0.0 * NaN` and `0.0 * inf` into `0.0`, making the two kernels disagree
 //! exactly when the serve-side NaN guard needs them to agree.
@@ -48,7 +48,7 @@ pub const MR: usize = 8;
 pub const NR: usize = 8;
 
 /// `C[m,n] = A[m,k] * B[k,n]` over raw slices, dispatching between
-/// [`gemm_packed`] and [`gemm_naive`] on kernel mode and problem size.
+/// [`gemm_packed`] and [`gemm_naive`] on problem size.
 ///
 /// # Panics
 /// Panics if slice lengths do not match the given dims.
@@ -56,7 +56,7 @@ pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "gemm: A size mismatch");
     assert_eq!(b.len(), k * n, "gemm: B size mismatch");
     assert_eq!(c.len(), m * n, "gemm: C size mismatch");
-    if super::naive_kernels() || m * n * k < PACK_FLOPS || m < 4 {
+    if m * n * k < PACK_FLOPS || m < 4 {
         gemm_naive(a, b, c, m, k, n);
     } else {
         gemm_packed(a, b, c, m, k, n);
@@ -296,7 +296,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let bmat = k * n;
         let cmat = m * n;
         let work = m * n * k;
-        if !super::naive_kernels() && work >= PACK_FLOPS && m >= 4 {
+        if work >= PACK_FLOPS && m >= 4 {
             // The blocked kernel parallelizes internally over macro-tiles.
             for i in 0..batch_a {
                 gemm_packed(

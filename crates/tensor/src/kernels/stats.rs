@@ -17,7 +17,8 @@ use super::backend::BackendKind;
 pub(crate) struct KernelCounters {
     /// Packed-SGEMM invocations.
     pub gemm_packed: Counter,
-    /// Reference-SGEMM invocations (dispatched, not oracle calls).
+    /// Reference-SGEMM invocations: small products [`super::gemm::gemm`]
+    /// routes to it and direct calls (such as `kernel_bench`'s baseline).
     pub gemm_naive: Counter,
     /// B-panels packed by the blocked SGEMM.
     pub packed_panels: Counter,

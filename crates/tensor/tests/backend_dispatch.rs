@@ -5,7 +5,7 @@
 //! The pure tests drive [`resolve`]/[`best_for`] with synthetic
 //! [`CpuFeatures`], so every ordering rule is checked on every host
 //! regardless of what the build machine supports. Process-global state
-//! (forced backend, forced kernel mode, the global telemetry registry) is
+//! (forced backend, the global telemetry registry) is
 //! only touched inside the single `global_state_precedence_and_telemetry`
 //! test so the pure tests can run concurrently with it.
 
@@ -13,7 +13,6 @@ use apf_tensor::kernels::backend::{
     best_for, force_backend, kernel_backend, resolve, BackendError, BackendKind, CpuFeatures,
 };
 use apf_tensor::kernels::gemm::{gemm, gemm_naive, gemm_packed};
-use apf_tensor::kernels::{force_kernel_mode, KernelMode};
 use apf_tensor::prelude::*;
 use apf_telemetry::Telemetry;
 
@@ -142,8 +141,8 @@ fn active_gauge(tel: &Telemetry, kind: BackendKind) -> Option<f64> {
 }
 
 /// All process-global interactions in one sequential test: forced backend
-/// visible in `kernel_backend()` and the telemetry counters, and the
-/// mode-vs-backend precedence (naive mode never enters the backend layer).
+/// visible in `kernel_backend()` and the telemetry counters, and `gemm`
+/// reaching the backend layer for a packable shape.
 #[test]
 fn global_state_precedence_and_telemetry() {
     // First install wins; if another test binary's process installed one
@@ -185,28 +184,7 @@ fn global_state_precedence_and_telemetry() {
     assert!(force_backend(Some(not_compiled)).is_err());
     assert_eq!(kernel_backend().unwrap(), best);
 
-    // 4. Mode beats backend: in naive kernel mode the dispatcher takes
-    //    gemm_naive and the backend layer is never consulted.
-    force_kernel_mode(Some(KernelMode::Naive));
-    let backend_before = total_dispatches(tel);
-    let naive_before = tel
-        .snapshot()
-        .get("apf_tensor_gemm_naive_total", &[])
-        .map_or(0, |ms| ms.value as u64);
-    gemm(&a, &b, &mut c, m, k, n);
-    let naive_after = tel
-        .snapshot()
-        .get("apf_tensor_gemm_naive_total", &[])
-        .map_or(0, |ms| ms.value as u64);
-    assert!(naive_after > naive_before, "naive mode must dispatch gemm_naive");
-    assert_eq!(
-        total_dispatches(tel),
-        backend_before,
-        "naive mode must never enter the SIMD backend layer"
-    );
-
-    // 5. Back to fast mode: the same shape goes packed again.
-    force_kernel_mode(None);
+    // 4. gemm() dispatches a packable shape through the backend layer.
     let backend_before = total_dispatches(tel);
     gemm(&a, &b, &mut c, m, k, n);
     assert!(total_dispatches(tel) > backend_before);
