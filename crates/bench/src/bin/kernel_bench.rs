@@ -12,6 +12,9 @@
 //!    that uses the same fast GEMM for `q k^T` and `p v` plus a row
 //!    softmax — i.e. fusing must win even against the upgraded baseline,
 //!    not just against the old naive one — by [`MIN_ATTN_SPEEDUP`]x.
+//! 3. **Attention backward** at the UNETR training shape (16 batch-heads,
+//!    L = 256, Dh = 16): the tiled fused backward must beat the
+//!    materialized `attention_backward_naive` by [`MIN_ATTN_BWD_SPEEDUP`]x.
 //!
 //! The gates apply to the **best-detected** backend (what production
 //! dispatch selects); the other backends' numbers are informational and
@@ -25,7 +28,10 @@
 //!         [--iters 7] [--quick]`
 
 use apf_bench::{print_table, save_json, Args};
-use apf_tensor::kernels::attention::fused_attention_forward;
+use apf_tensor::kernels::attention::{
+    attention_backward_naive, fused_attention_backward, fused_attention_forward, DEFAULT_K_TILE,
+    DEFAULT_Q_TILE,
+};
 use apf_tensor::kernels::backend::{force_backend, BackendKind};
 use apf_tensor::kernels::gemm::{gemm, gemm_naive, gemm_packed};
 use apf_tensor::prelude::*;
@@ -37,6 +43,9 @@ const MIN_GEMM_SPEEDUP: f64 = 2.0;
 /// Acceptance bound for fused attention vs the materialized-with-fast-GEMM
 /// baseline on the best-detected backend.
 const MIN_ATTN_SPEEDUP: f64 = 1.05;
+/// Acceptance bound for the tiled attention backward vs the materialized
+/// reference backward on the best-detected backend.
+const MIN_ATTN_BWD_SPEEDUP: f64 = 1.5;
 /// Re-measure attempts before the gate gives up on a noisy machine.
 const MAX_ATTEMPTS: usize = 4;
 
@@ -47,6 +56,14 @@ const GEMM_N: usize = 768;
 const ATTN_BH: usize = 4;
 const ATTN_S: usize = 1024;
 const ATTN_DH: usize = 64;
+
+/// The attention shape of one `train_unetr` step (`UnetrConfig::small`,
+/// batch 4 x 4 heads, L = 256).
+const BWD_BH: usize = 16;
+const BWD_L: usize = 256;
+const BWD_DH: usize = 16;
+/// `1 / sqrt(BWD_DH)`.
+const BWD_SCALE: f32 = 0.25;
 
 #[derive(Serialize)]
 struct KernelReport {
@@ -62,6 +79,11 @@ struct KernelReport {
     attn_fused_s: f64,
     attn_speedup: f64,
     min_attn_speedup: f64,
+    attn_bwd_shape: [usize; 3],
+    attn_bwd_naive_s: f64,
+    attn_bwd_tiled_s: f64,
+    attn_bwd_speedup: f64,
+    min_attn_bwd_speedup: f64,
     gating_backend: String,
     per_backend: Vec<BackendRun>,
     counters: Counters,
@@ -80,6 +102,16 @@ struct BackendRun {
     attn_fused_s: f64,
     attn_materialized_s: f64,
     attn_speedup: f64,
+    attn_bwd_tiled_s: f64,
+    attn_bwd_speedup: f64,
+}
+
+impl BackendRun {
+    fn passes(&self) -> bool {
+        self.gemm_speedup >= MIN_GEMM_SPEEDUP
+            && self.attn_speedup >= MIN_ATTN_SPEEDUP
+            && self.attn_bwd_speedup >= MIN_ATTN_BWD_SPEEDUP
+    }
 }
 
 #[derive(Serialize)]
@@ -151,6 +183,8 @@ struct Inputs {
     k: Vec<f32>,
     v: Vec<f32>,
     scale: f32,
+    /// Backward operands at the training shape: `[q, k, v, out, lse, d_out]`.
+    bwd: [Vec<f32>; 6],
 }
 
 struct Scratch {
@@ -160,10 +194,20 @@ struct Scratch {
     out_m: Vec<f32>,
     out_f: Vec<f32>,
     lse: Vec<f32>,
+    /// `[dq, dk, dv]` of the tiled and the naive backward.
+    grads: [Vec<f32>; 3],
+    grads_naive: [Vec<f32>; 3],
 }
 
+
 /// One full measurement pass under whatever backend is currently forced.
-fn measure_backend(iters: usize, naive_s: f64, inp: &Inputs, scr: &mut Scratch) -> BackendRun {
+fn measure_backend(
+    iters: usize,
+    naive_s: f64,
+    bwd_naive_s: f64,
+    inp: &Inputs,
+    scr: &mut Scratch,
+) -> BackendRun {
     let flops = 2.0 * GEMM_M as f64 * GEMM_K as f64 * GEMM_N as f64;
     let packed_s = min_time(iters, || {
         gemm_packed(&inp.a, &inp.b, std::hint::black_box(&mut scr.c), GEMM_M, GEMM_K, GEMM_N);
@@ -203,6 +247,34 @@ fn measure_backend(iters: usize, naive_s: f64, inp: &Inputs, scr: &mut Scratch) 
     for (i, (f, m)) in scr.out_f.iter().zip(scr.out_m.iter()).enumerate() {
         assert!((f - m).abs() < 1e-4, "attention arms diverged at {}: {} vs {}", i, f, m);
     }
+    let bwd_s = min_time(iters, || {
+        let [q, k, v, out, lse, d_out] = &inp.bwd;
+        let [dq, dk, dv] = &mut scr.grads;
+        fused_attention_backward(
+            q,
+            k,
+            v,
+            None,
+            out,
+            lse,
+            d_out,
+            BWD_BH,
+            BWD_L,
+            BWD_L,
+            BWD_DH,
+            BWD_SCALE,
+            DEFAULT_Q_TILE,
+            DEFAULT_K_TILE,
+            std::hint::black_box(dq),
+            dk,
+            dv,
+        );
+    });
+    for (t, n) in scr.grads.iter().zip(scr.grads_naive.iter()) {
+        for (i, (a, b)) in t.iter().zip(n.iter()).enumerate() {
+            assert!((a - b).abs() < 1e-4, "attention backward diverged at {}: {} vs {}", i, a, b);
+        }
+    }
     BackendRun {
         backend: String::new(), // filled by the caller
         gemm_packed_s: packed_s,
@@ -211,12 +283,14 @@ fn measure_backend(iters: usize, naive_s: f64, inp: &Inputs, scr: &mut Scratch) 
         attn_fused_s: fused_s,
         attn_materialized_s: mat_s,
         attn_speedup: mat_s / fused_s,
+        attn_bwd_tiled_s: bwd_s,
+        attn_bwd_speedup: bwd_naive_s / bwd_s,
     }
 }
 
 /// Fold `next` into `acc`, keeping the per-arm minima (noise is additive,
 /// so minima only improve with more samples).
-fn fold_min(acc: &mut BackendRun, next: &BackendRun, naive_s: f64) {
+fn fold_min(acc: &mut BackendRun, next: &BackendRun, naive_s: f64, bwd_naive_s: f64) {
     acc.gemm_packed_s = acc.gemm_packed_s.min(next.gemm_packed_s);
     acc.attn_fused_s = acc.attn_fused_s.min(next.attn_fused_s);
     acc.attn_materialized_s = acc.attn_materialized_s.min(next.attn_materialized_s);
@@ -224,6 +298,34 @@ fn fold_min(acc: &mut BackendRun, next: &BackendRun, naive_s: f64) {
     acc.gemm_packed_gflops = flops / acc.gemm_packed_s / 1e9;
     acc.gemm_speedup = naive_s / acc.gemm_packed_s;
     acc.attn_speedup = acc.attn_materialized_s / acc.attn_fused_s;
+    acc.attn_bwd_tiled_s = acc.attn_bwd_tiled_s.min(next.attn_bwd_tiled_s);
+    acc.attn_bwd_speedup = bwd_naive_s / acc.attn_bwd_tiled_s;
+}
+
+/// Unit-scale backward operands at the training shape; `out` and `lse`
+/// come from one fused forward under the default backend.
+fn backward_operands() -> [Vec<f32>; 6] {
+    let n = BWD_BH * BWD_L * BWD_DH;
+    let rand = |seed| Tensor::rand_uniform([BWD_BH, BWD_L, BWD_DH], -1.0, 1.0, seed).to_vec();
+    let (q, k, v, d_out) = (rand(6), rand(7), rand(8), rand(9));
+    let mut out = vec![0.0f32; n];
+    let mut lse = vec![0.0f32; BWD_BH * BWD_L];
+    fused_attention_forward(
+        &q,
+        &k,
+        &v,
+        None,
+        BWD_BH,
+        BWD_L,
+        BWD_L,
+        BWD_DH,
+        BWD_SCALE,
+        DEFAULT_Q_TILE,
+        DEFAULT_K_TILE,
+        &mut out,
+        &mut lse,
+    );
+    [q, k, v, out, lse, d_out]
 }
 
 fn main() {
@@ -241,6 +343,7 @@ fn main() {
         k: Tensor::rand_uniform([ATTN_BH, ATTN_S, ATTN_DH], -1.0, 1.0, 4).to_vec(),
         v: Tensor::rand_uniform([ATTN_BH, ATTN_S, ATTN_DH], -1.0, 1.0, 5).to_vec(),
         scale: 1.0 / (ATTN_DH as f32).sqrt(),
+        bwd: backward_operands(),
     };
     let mut scr = Scratch {
         c: vec![0.0f32; GEMM_M * GEMM_N],
@@ -249,6 +352,8 @@ fn main() {
         out_m: vec![0.0f32; ATTN_BH * ATTN_S * ATTN_DH],
         out_f: vec![0.0f32; ATTN_BH * ATTN_S * ATTN_DH],
         lse: vec![0.0f32; ATTN_BH * ATTN_S],
+        grads: std::array::from_fn(|_| vec![0.0f32; BWD_BH * BWD_L * BWD_DH]),
+        grads_naive: std::array::from_fn(|_| vec![0.0f32; BWD_BH * BWD_L * BWD_DH]),
     };
     let flops = 2.0 * GEMM_M as f64 * GEMM_K as f64 * GEMM_N as f64;
 
@@ -257,29 +362,52 @@ fn main() {
         gemm_naive(&inp.a, &inp.b, std::hint::black_box(&mut scr.c), GEMM_M, GEMM_K, GEMM_N);
     });
 
+    // The reference backward runs no backend code: measure it once.
+    let bwd_naive_s = min_time(iters, || {
+        let [q, k, v, _, _, d_out] = &inp.bwd;
+        let [dq, dk, dv] = &mut scr.grads_naive;
+        attention_backward_naive(
+            q,
+            k,
+            v,
+            None,
+            d_out,
+            BWD_BH,
+            BWD_L,
+            BWD_L,
+            BWD_DH,
+            BWD_SCALE,
+            std::hint::black_box(dq),
+            dk,
+            dv,
+        );
+    });
+
     // ---- Per-backend matrix: force each detected backend in turn ----
     let detected = BackendKind::detected();
     let gating = detected[0]; // what production dispatch selects
     let mut per_backend: Vec<BackendRun> = Vec::new();
     for &kind in &detected {
         force_backend(Some(kind)).expect("detected backend must be forceable");
-        let mut run = measure_backend(iters, naive_s, &inp, &mut scr);
+        let mut run = measure_backend(iters, naive_s, bwd_naive_s, &inp, &mut scr);
         run.backend = kind.name().to_string();
         if kind == gating {
             // The gated backend gets re-measure attempts so a noisy run
             // converges on the true cost instead of flaking.
             for attempt in 0..MAX_ATTEMPTS {
-                if run.gemm_speedup >= MIN_GEMM_SPEEDUP && run.attn_speedup >= MIN_ATTN_SPEEDUP {
+                if run.passes() {
                     break;
                 }
                 eprintln!(
-                    "attempt {}: SGEMM {:.2}x / attention {:.2}x below gate; re-measuring",
+                    "attempt {}: SGEMM {:.2}x / attention {:.2}x / backward {:.2}x below gate; \
+                     re-measuring",
                     attempt + 1,
                     run.gemm_speedup,
-                    run.attn_speedup
+                    run.attn_speedup,
+                    run.attn_bwd_speedup
                 );
-                let next = measure_backend(iters, naive_s, &inp, &mut scr);
-                fold_min(&mut run, &next, naive_s);
+                let next = measure_backend(iters, naive_s, bwd_naive_s, &inp, &mut scr);
+                fold_min(&mut run, &next, naive_s, bwd_naive_s);
             }
         }
         per_backend.push(run);
@@ -287,7 +415,7 @@ fn main() {
     force_backend(None).expect("restoring default backend");
 
     let best = per_backend[0].clone();
-    let passed = best.gemm_speedup >= MIN_GEMM_SPEEDUP && best.attn_speedup >= MIN_ATTN_SPEEDUP;
+    let passed = best.passes();
 
     let snap = tel.snapshot();
     let count = |name: &str| snap.get(name, &[]).map_or(0.0, |m| m.value);
@@ -306,10 +434,16 @@ fn main() {
         backend_dispatch_total: dispatch_total,
     };
 
-    let mut rows = vec![vec![
-        format!("gemm_naive {}x{}x{}", GEMM_M, GEMM_K, GEMM_N),
-        format!("{:.4} s  ({:.2} GFLOP/s)", naive_s, flops / naive_s / 1e9),
-    ]];
+    let mut rows = vec![
+        vec![
+            format!("gemm_naive {}x{}x{}", GEMM_M, GEMM_K, GEMM_N),
+            format!("{:.4} s  ({:.2} GFLOP/s)", naive_s, flops / naive_s / 1e9),
+        ],
+        vec![
+            format!("attention_backward_naive {}x{}x{}", BWD_BH, BWD_L, BWD_DH),
+            format!("{:.4} s", bwd_naive_s),
+        ],
+    ];
     for run in &per_backend {
         rows.push(vec![
             format!("[{}] gemm_packed", run.backend),
@@ -325,12 +459,25 @@ fn main() {
                 run.attn_fused_s, run.attn_materialized_s, run.attn_speedup
             ),
         ]);
+        rows.push(vec![
+            format!("[{}] attention backward tiled vs naive", run.backend),
+            format!(
+                "{:.4} s vs {:.4} s ({:.2}x)",
+                run.attn_bwd_tiled_s, bwd_naive_s, run.attn_bwd_speedup
+            ),
+        ]);
     }
     rows.push(vec![
         format!("gates on [{}]", gating.name()),
         format!(
-            "SGEMM {:.2}x (need >= {:.1}x), attention {:.2}x (need >= {:.2}x)",
-            best.gemm_speedup, MIN_GEMM_SPEEDUP, best.attn_speedup, MIN_ATTN_SPEEDUP
+            "SGEMM {:.2}x (need >= {:.1}x), attention {:.2}x (need >= {:.2}x), \
+             backward {:.2}x (need >= {:.1}x)",
+            best.gemm_speedup,
+            MIN_GEMM_SPEEDUP,
+            best.attn_speedup,
+            MIN_ATTN_SPEEDUP,
+            best.attn_bwd_speedup,
+            MIN_ATTN_BWD_SPEEDUP
         ),
     ]);
     rows.push(vec![
@@ -358,6 +505,11 @@ fn main() {
             attn_fused_s: best.attn_fused_s,
             attn_speedup: best.attn_speedup,
             min_attn_speedup: MIN_ATTN_SPEEDUP,
+            attn_bwd_shape: [BWD_BH, BWD_L, BWD_DH],
+            attn_bwd_naive_s: bwd_naive_s,
+            attn_bwd_tiled_s: best.attn_bwd_tiled_s,
+            attn_bwd_speedup: best.attn_bwd_speedup,
+            min_attn_bwd_speedup: MIN_ATTN_BWD_SPEEDUP,
             gating_backend: gating.name().to_string(),
             per_backend,
             counters,
@@ -380,10 +532,21 @@ fn main() {
         best.attn_fused_s,
         best.attn_materialized_s
     );
+    assert!(
+        best.attn_bwd_speedup >= MIN_ATTN_BWD_SPEEDUP,
+        "attention backward speedup {:.2}x below the {:.1}x gate on backend {} \
+         ({:.4} s vs {:.4} s)",
+        best.attn_bwd_speedup,
+        MIN_ATTN_BWD_SPEEDUP,
+        gating.name(),
+        best.attn_bwd_tiled_s,
+        bwd_naive_s
+    );
     println!(
-        "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x",
+        "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x, attention backward {:.2}x",
         gating.name(),
         best.gemm_speedup,
-        best.attn_speedup
+        best.attn_speedup,
+        best.attn_bwd_speedup
     );
 }

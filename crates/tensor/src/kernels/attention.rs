@@ -10,15 +10,28 @@
 //! probabilities as `exp(s - LSE)` — so [`fused_attention_backward`]
 //! re-derives probabilities tile by tile instead of storing them.
 //!
-//! [`attention_naive`] is the materialized reference (scores buffer +
-//! row softmax identical to `Graph::softmax` + a plain weighted sum) used
-//! by the differential oracle.
+//! The backward is a FlashAttention-2-style tile loop built from the same
+//! backend primitives as the forward. Per `(q-tile, k-tile)` it runs five
+//! register-blocked mini-GEMM passes — `S = scale·Q·Kᵀ (+ bias)` and
+//! `dP = dO·Vᵀ` as score tiles, then `dV += Pᵀ·dO`, `dK += dSᵀ·Q` and
+//! `dQ += dS·K` as P·V-shaped accumulations — with
+//! `P = exp(S − LSE)` from the backend's `softmax_exp_row` and
+//! `dS = P∘(dP − D)·scale` in between (`D_i = dO_i·O_i`).
+//!
+//! [`attention_naive`] and [`attention_backward_naive`] are the
+//! materialized references (full score and probability matrices, row
+//! softmax identical to `Graph::softmax`, plain loops) used by the
+//! differential oracle only.
 //!
 //! Non-finite handling: neither implementation special-cases NaN/inf. Both
 //! use the same `max`-fold (which ignores NaN operands) and the same
 //! `exp(s - m)` form, so a NaN query/key/value poisons the same output
 //! rows in both. Masked keys arrive as a large-negative additive bias
-//! (`-1e9`), not `-inf`, so fully-masked rows stay finite.
+//! (`-1e9`), not `-inf`, so fully-masked rows stay finite. Every backend's
+//! softmax `exp` maps arguments below `ln(FLT_MIN)` to exactly `+0.0`, so a
+//! masked key gets probability zero — its `dK`/`dV` rows are exactly zero
+//! and its `V` row cannot change the output — and no probability is ever
+//! subnormal.
 
 use rayon::prelude::*;
 
@@ -125,7 +138,7 @@ fn forward_one(
     outb: &mut [f32],
     lseb: &mut [f32],
 ) {
-    let kt = transpose_keys(kb, lk, dh);
+    let kt = transpose_rows(kb, lk, dh);
     let mut s = vec![0.0f32; q_tile * k_tile];
     let mut m_run = vec![0.0f32; q_tile];
     let mut l_run = vec![0.0f32; q_tile];
@@ -183,10 +196,11 @@ fn forward_one(
     }
 }
 
-/// `K` transposed to `[dh, lk]` (`kt[p*lk + j] = k[j*dh + p]`), built once
-/// per batch-head: it lets [`score_tile`] accumulate over contiguous
-/// key-lanes, which is what makes the dot products vectorizable.
-fn transpose_keys(kb: &[f32], lk: usize, dh: usize) -> Vec<f32> {
+/// `K` (or, in backward, `V`) transposed to `[dh, lk]` (`kt[p*lk + j] =
+/// k[j*dh + p]`), built once per batch-head: it lets [`score_tile`]
+/// accumulate over contiguous key-lanes, which is what makes the dot
+/// products vectorizable.
+fn transpose_rows(kb: &[f32], lk: usize, dh: usize) -> Vec<f32> {
     let mut kt = vec![0.0f32; dh * lk];
     for (j, krow) in kb.chunks_exact(dh).enumerate() {
         for (p, &kv) in krow.iter().enumerate() {
@@ -197,7 +211,8 @@ fn transpose_keys(kb: &[f32], lk: usize, dh: usize) -> Vec<f32> {
 }
 
 /// `o[.., dh] += P · V_tile` for the probability tile `p` (`[qtb, ktb]`)
-/// and value rows `vt` (`[ktb, dh]`), register-blocked the same way as
+/// and value rows `vt` (`[ktb, dh]`) — backward reuses it for `Pᵀ·dO`,
+/// `dSᵀ·Q` and `dS·K` — register-blocked the same way as
 /// [`score_tile`]: full `S_MR x S_NR` blocks go through the backend's
 /// P·V mini-GEMM, accumulating in registers over the whole key tile
 /// before touching `o` once; ragged edges run the plain loops. The
@@ -256,7 +271,7 @@ const S_MR: usize = 4;
 const S_NR: usize = 8;
 
 /// Fills `s[i*ktb + j] = scale * q_{q0+i} . k_{k0+j} (+ bias_{k0+j})`,
-/// reading keys through the transposed copy from [`transpose_keys`].
+/// reading keys through the transposed copy from [`transpose_rows`].
 ///
 /// Full `S_MR x S_NR` blocks go through the backend's score mini-GEMM
 /// (per `p`, broadcast `S_MR` query values against one contiguous
@@ -333,7 +348,8 @@ fn score_tile(
 /// dQ   = scale * dS K,  dK = scale * dS^T Q,  dV = P^T dOut
 /// ```
 ///
-/// `dq`/`dk`/`dv` are overwritten (assign semantics).
+/// Each tile runs five mini-GEMM passes through the backend (see the
+/// module docs). `dq`/`dk`/`dv` are overwritten (assign semantics).
 ///
 /// # Panics
 /// Panics on slice-length/shape mismatches or zero tile sizes.
@@ -404,7 +420,9 @@ pub fn fused_attention_backward(
         });
 }
 
-/// One batch-head of the tile-recomputing backward.
+/// One batch-head of the tile-recomputing backward: [`score_tile`] for `S`
+/// and `dP`, [`accumulate_pv`] for `dV`, `dK` and `dQ` (see the module
+/// docs).
 #[allow(clippy::too_many_arguments)]
 fn backward_one(
     bk: &dyn MicroKernelBackend,
@@ -432,43 +450,38 @@ fn backward_one(
         let grow = &dob[i * dh..(i + 1) * dh];
         *dc = orow.iter().zip(grow.iter()).map(|(&o, &g)| o * g).sum();
     }
-    let kt = transpose_keys(kb, lk, dh);
-    let mut s = vec![0.0f32; q_tile * k_tile];
+    let kt = transpose_rows(kb, lk, dh);
+    let vt = transpose_rows(vb, lk, dh);
+    // `p` holds S then P, `ds` holds dP then dS; `pt`/`dst` are their
+    // transposes, the left operands of the key-side accumulations.
+    let mut p = vec![0.0f32; q_tile * k_tile];
+    let mut ds = vec![0.0f32; q_tile * k_tile];
+    let mut pt = vec![0.0f32; k_tile * q_tile];
+    let mut dst = vec![0.0f32; k_tile * q_tile];
     let mut q0 = 0;
     while q0 < lq {
         let qtb = q_tile.min(lq - q0);
+        let q_rows = q0 * dh..(q0 + qtb) * dh;
         let mut k0 = 0;
         while k0 < lk {
             let ktb = k_tile.min(lk - k0);
-            score_tile(bk, qb, &kt, bias, q0, k0, qtb, ktb, dh, lk, scale, &mut s);
+            let k_rows = k0 * dh..(k0 + ktb) * dh;
+            score_tile(bk, qb, &kt, bias, q0, k0, qtb, ktb, dh, lk, scale, &mut p);
+            score_tile(bk, dob, &vt, None, q0, k0, qtb, ktb, dh, lk, 1.0, &mut ds);
             for i in 0..qtb {
-                let lse_i = lseb[q0 + i];
+                let prow = &mut p[i * ktb..(i + 1) * ktb];
+                bk.softmax_exp_row(prow, lseb[q0 + i]);
                 let di = d_corr[q0 + i];
-                let grow = &dob[(q0 + i) * dh..(q0 + i + 1) * dh];
-                let dqrow = &mut dqb[(q0 + i) * dh..(q0 + i + 1) * dh];
-                for (j, &sv) in s[i * ktb..(i + 1) * ktb].iter().enumerate() {
-                    let p = (sv - lse_i).exp();
-                    let vrow = &vb[(k0 + j) * dh..(k0 + j + 1) * dh];
-                    let mut dp = 0.0f32;
-                    for (&g, &vv) in grow.iter().zip(vrow.iter()) {
-                        dp += g * vv;
-                    }
-                    let ds = p * (dp - di) * scale;
-                    let krow = &kb[(k0 + j) * dh..(k0 + j + 1) * dh];
-                    for (dqv, &kv) in dqrow.iter_mut().zip(krow.iter()) {
-                        *dqv += ds * kv;
-                    }
-                    let qrow = &qb[(q0 + i) * dh..(q0 + i + 1) * dh];
-                    let dkrow = &mut dkb[(k0 + j) * dh..(k0 + j + 1) * dh];
-                    for (dkv, &qv) in dkrow.iter_mut().zip(qrow.iter()) {
-                        *dkv += ds * qv;
-                    }
-                    let dvrow = &mut dvb[(k0 + j) * dh..(k0 + j + 1) * dh];
-                    for (dvv, &g) in dvrow.iter_mut().zip(grow.iter()) {
-                        *dvv += p * g;
-                    }
+                let dsrow = &mut ds[i * ktb..(i + 1) * ktb];
+                for (j, (dsv, &pv)) in dsrow.iter_mut().zip(prow.iter()).enumerate() {
+                    *dsv = pv * (*dsv - di) * scale;
+                    pt[j * qtb + i] = pv;
+                    dst[j * qtb + i] = *dsv;
                 }
             }
+            accumulate_pv(bk, &pt, &dob[q_rows.clone()], ktb, qtb, dh, &mut dvb[k_rows.clone()]);
+            accumulate_pv(bk, &dst, &qb[q_rows.clone()], ktb, qtb, dh, &mut dkb[k_rows.clone()]);
+            accumulate_pv(bk, &ds, &kb[k_rows], qtb, ktb, dh, &mut dqb[q_rows.clone()]);
             k0 += ktb;
         }
         q0 += qtb;
@@ -529,6 +542,100 @@ pub fn attention_naive(
                 let vrow = &vb[j * dh..(j + 1) * dh];
                 for (o, &vv) in orow.iter_mut().zip(vrow.iter()) {
                     *o += w * vv;
+                }
+            }
+        }
+    }
+}
+
+/// Materialized reference backward: recomputes the full `lq x lk`
+/// probability matrix `P` exactly as [`attention_naive`] does, then
+/// materializes `dP = dOut V^T` and `dS = P o (dP - D) * scale` with
+/// `D_i = sum_j P_ij dP_ij`, and accumulates `dQ = dS K`, `dK = dS^T Q`,
+/// `dV = P^T dOut` in plain loops. It needs neither the forward output nor
+/// the saved log-sum-exp. Serial by design — it is the oracle's ground
+/// truth for [`fused_attention_backward`], not a production path.
+/// `dq`/`dk`/`dv` are overwritten.
+///
+/// # Panics
+/// Panics on slice-length/shape mismatches.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward_naive(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    key_bias: Option<&[f32]>,
+    d_out: &[f32],
+    bh: usize,
+    lq: usize,
+    lk: usize,
+    dh: usize,
+    scale: f32,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    check_dims(q, k, v, key_bias, bh, lq, lk, dh);
+    assert_eq!(d_out.len(), bh * lq * dh, "attention: d_out size mismatch");
+    assert_eq!(dq.len(), q.len(), "attention: dq size mismatch");
+    assert_eq!(dk.len(), k.len(), "attention: dk size mismatch");
+    assert_eq!(dv.len(), v.len(), "attention: dv size mismatch");
+    dq.fill(0.0);
+    dk.fill(0.0);
+    dv.fill(0.0);
+    if lq == 0 || lk == 0 {
+        return;
+    }
+    let dot = |a: &[f32], b: &[f32]| a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum::<f32>();
+    let mut p = vec![0.0f32; lq * lk];
+    let mut ds = vec![0.0f32; lq * lk];
+    for b in 0..bh {
+        let qb = &q[b * lq * dh..(b + 1) * lq * dh];
+        let kb = &k[b * lk * dh..(b + 1) * lk * dh];
+        let vb = &v[b * lk * dh..(b + 1) * lk * dh];
+        let gb = &d_out[b * lq * dh..(b + 1) * lq * dh];
+        let bias = key_bias.map(|bias| &bias[b * lk..(b + 1) * lk]);
+        // P: the same scores and row softmax as `attention_naive`.
+        for (qrow, prow) in qb.chunks_exact(dh).zip(p.chunks_exact_mut(lk)) {
+            for (j, (pv, krow)) in prow.iter_mut().zip(kb.chunks_exact(dh)).enumerate() {
+                *pv = match bias {
+                    Some(bias) => dot(qrow, krow) * scale + bias[j],
+                    None => dot(qrow, krow) * scale,
+                };
+            }
+            let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut denom = 0.0f32;
+            for pv in prow.iter_mut() {
+                *pv = (*pv - m).exp();
+                denom += *pv;
+            }
+            let inv = 1.0 / denom;
+            for pv in prow.iter_mut() {
+                *pv *= inv;
+            }
+        }
+        // dP, then dS in place.
+        for ((grow, dsrow), prow) in
+            gb.chunks_exact(dh).zip(ds.chunks_exact_mut(lk)).zip(p.chunks_exact(lk))
+        {
+            for (dpv, vrow) in dsrow.iter_mut().zip(vb.chunks_exact(dh)) {
+                *dpv = dot(grow, vrow);
+            }
+            let di = dot(prow, dsrow);
+            for (dsv, &pv) in dsrow.iter_mut().zip(prow.iter()) {
+                *dsv = pv * (*dsv - di) * scale;
+            }
+        }
+        let dqb = &mut dq[b * lq * dh..(b + 1) * lq * dh];
+        let dkb = &mut dk[b * lk * dh..(b + 1) * lk * dh];
+        let dvb = &mut dv[b * lk * dh..(b + 1) * lk * dh];
+        for i in 0..lq {
+            for j in 0..lk {
+                let (pv, dsv) = (p[i * lk + j], ds[i * lk + j]);
+                for d in 0..dh {
+                    dqb[i * dh + d] += dsv * kb[j * dh + d];
+                    dkb[j * dh + d] += dsv * qb[i * dh + d];
+                    dvb[j * dh + d] += pv * gb[i * dh + d];
                 }
             }
         }

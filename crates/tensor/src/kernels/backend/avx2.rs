@@ -25,6 +25,7 @@
 
 use core::arch::x86_64::*;
 
+use super::scalar::{exp_or_zero, EXP_UNDERFLOW};
 use super::{BackendKind, MicroKernelBackend};
 
 /// The AVX2+FMA backend. Zero-sized; constructed only by the dispatch
@@ -164,15 +165,18 @@ unsafe fn mini_4x8(
 /// allows.
 ///
 /// Domain handling: inputs are clamped to `[-87.33, 88.72]` before range
-/// reduction, so the exponent-bit trick never over/underflows (softmax
-/// arguments are `<= 0`, so the clamp only fires on the `-1e9` mask bias,
-/// where the true result underflows to zero and the clamped `~1e-38` is
-/// indistinguishable at the oracle bound). NaN lanes are re-injected after
-/// the clamp so poisoned scores stay poisoned.
+/// reduction, so the exponent-bit trick never over/underflows. Lanes
+/// below the lower clamp return exactly `+0.0` (the clamped value would be
+/// `FLT_MIN`): masked keys (`-1e9` bias) then get exactly-zero
+/// probabilities instead of near-subnormal ones, whose products are
+/// subnormal and slow, and no lane is ever subnormal. NaN lanes are
+/// re-injected after the clamp so poisoned scores stay poisoned.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn exp8(x: __m256) -> __m256 {
     let nan_mask = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
-    let xc = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(-87.336_54)), _mm256_set1_ps(88.722_84));
+    let lo = _mm256_set1_ps(EXP_UNDERFLOW);
+    let underflow = _mm256_cmp_ps::<_CMP_LT_OQ>(x, lo);
+    let xc = _mm256_min_ps(_mm256_max_ps(x, lo), _mm256_set1_ps(88.722_84));
     let n = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
         _mm256_mul_ps(xc, _mm256_set1_ps(std::f32::consts::LOG2_E)),
     );
@@ -195,14 +199,15 @@ unsafe fn exp8(x: __m256) -> __m256 {
         _mm256_cvtps_epi32(n),
         _mm256_set1_epi32(127),
     )));
-    let res = _mm256_mul_ps(y, pow2);
+    let res = _mm256_andnot_ps(underflow, _mm256_mul_ps(y, pow2));
     // Clamping erased NaN lanes; restore them from the original input.
     _mm256_blendv_ps(res, x, nan_mask)
 }
 
 /// In-place `s[j] = exp(s[j] - m)` over `len` elements, returning the sum.
 /// Vector lanes accumulate into 8 partial sums folded at the end; the
-/// scalar tail uses libm `exp`. Both are within the tolerance contract.
+/// scalar tail uses the scalar backend's `exp_or_zero`. Both are within
+/// the tolerance contract.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn softmax_exp_row(s: *mut f32, len: usize, m: f32) -> f32 {
     let vm = _mm256_set1_ps(m);
@@ -221,7 +226,7 @@ unsafe fn softmax_exp_row(s: *mut f32, len: usize, m: f32) -> f32 {
     let q = _mm_add_ss(q, _mm_shuffle_ps::<1>(q, q));
     let mut sum = _mm_cvtss_f32(q);
     while i < len {
-        let e = (*s.add(i) - m).exp();
+        let e = exp_or_zero(*s.add(i) - m);
         *s.add(i) = e;
         sum += e;
         i += 1;

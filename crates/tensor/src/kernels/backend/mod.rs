@@ -157,8 +157,9 @@ pub trait MicroKernelBackend: Sync {
     /// ulp (well inside the oracle's `1e-5` attention bound) and may
     /// reassociate the sum. Required semantics regardless of
     /// approximation: NaN inputs (including `-inf - -inf` from
-    /// all-masked rows) stay NaN, and strongly negative arguments
-    /// (`s[j] - m < -87`) produce (near-)zero rather than garbage.
+    /// all-masked rows) stay NaN, arguments below `ln(FLT_MIN)`
+    /// (`s[j] - m < -87.34`, e.g. masked keys) produce exactly `+0.0`, and
+    /// no result is ever subnormal.
     fn softmax_exp_row(&self, s: &mut [f32], m: f32) -> f32 {
         scalar::softmax_exp_row_scalar(s, m)
     }

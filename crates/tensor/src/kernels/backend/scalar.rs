@@ -2,9 +2,10 @@
 //!
 //! Every loop here reproduces the pre-backend kernel loops *exactly* (same
 //! iteration order, same op sequence), so results are bit-identical to
-//! what the repository shipped before explicit SIMD existed, and every
-//! other backend is differential-tested against this one. No `unsafe`
-//! anywhere in this module.
+//! what the repository shipped before explicit SIMD existed — except that
+//! the softmax `exp` row flushes would-be subnormal results to zero — and
+//! every other backend is differential-tested against this one. No
+//! `unsafe` anywhere in this module.
 //!
 //! The inner loops have constant trip counts (8-wide lanes), so LLVM still
 //! auto-vectorizes them at whatever width the build's baseline target
@@ -65,13 +66,28 @@ pub(crate) fn bias_gelu_row_scalar(x: &[f32], bias: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Lower end of the softmax `exp` domain, `ln(FLT_MIN)` rounded up:
+/// arguments below it would give a subnormal result.
+pub(crate) const EXP_UNDERFLOW: f32 = -87.336_54;
+
+/// libm `exp`, flushed to exactly `+0.0` below [`EXP_UNDERFLOW`] so the
+/// softmax never produces a subnormal probability (subnormal products are
+/// slow, and the value is below the oracle bound anyway).
+pub(crate) fn exp_or_zero(x: f32) -> f32 {
+    if x < EXP_UNDERFLOW {
+        0.0
+    } else {
+        x.exp()
+    }
+}
+
 /// `s[j] = exp(s[j] - m)` in place, returning the left-to-right sum —
-/// the online-softmax inner loop exactly as the pre-backend kernel wrote
-/// it (libm `exp`, ascending-order sum).
+/// the online-softmax inner loop as the pre-backend kernel wrote it (libm
+/// `exp`, ascending-order sum), with subnormal results flushed to zero.
 pub(crate) fn softmax_exp_row_scalar(s: &mut [f32], m: f32) -> f32 {
     let mut psum = 0.0f32;
     for sv in s.iter_mut() {
-        *sv = (*sv - m).exp();
+        *sv = exp_or_zero(*sv - m);
         psum += *sv;
     }
     psum

@@ -15,7 +15,9 @@
 //! - **Fused attention** vs the materialized reference: online softmax
 //!   reassociates both the max/denominator scan and the value accumulation;
 //!   outputs are convex combinations of `v` rows, so an absolute tolerance
-//!   of `1e-5` at unit-scale inputs is ample.
+//!   of `1e-5` at unit-scale inputs is ample. The tiled backward is held to
+//!   the same flat `1e-5` against `attention_backward_naive` on `dQ`, `dK`
+//!   and `dV`, at head dims that fill the backend's 4x8 blocks.
 //! - **im2col conv** vs the direct quadruple loop: same contraction-shaped
 //!   bound as SGEMM, with the magnitude scale computed by running the
 //!   direct conv over absolute values.
@@ -26,7 +28,10 @@
 //!   kernel produces NaN/inf, the fast kernel must produce a non-finite
 //!   value too (and vice versa).
 
-use apf_tensor::kernels::attention::{attention_naive, fused_attention_forward};
+use apf_tensor::kernels::attention::{
+    attention_backward_naive, attention_naive, fused_attention_backward, fused_attention_forward,
+    DEFAULT_K_TILE, DEFAULT_Q_TILE,
+};
 use apf_tensor::kernels::backend::{force_backend, kernel_backend, BackendKind};
 use apf_tensor::kernels::conv::{conv2d, conv2d_direct, ConvGeom};
 use apf_tensor::kernels::fused::{
@@ -104,6 +109,32 @@ fn check_gemm_pair(m: usize, k: usize, n: usize, seed: u64) {
     assert_gemm_close(&fast, &naive, &absprod);
 }
 
+/// Key bias: the padding mask as used by the transformer (-1e9 on masked
+/// keys, about one in three), never masking key 0 so every row has a
+/// survivor.
+fn key_mask_bias(bh: usize, lk: usize, seed: u64) -> Vec<f32> {
+    let mut b = vec![0.0f32; bh * lk];
+    let mut state = seed | 1;
+    for (i, slot) in b.iter_mut().enumerate() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if i % lk != 0 && state.is_multiple_of(3) {
+            *slot = -1e9;
+        }
+    }
+    b
+}
+
+/// Unit-scale attention inputs `(q, k, v)` for one shape and seed.
+fn attention_inputs(bh: usize, lq: usize, lk: usize, dh: usize, seed: u64) -> [Vec<f32>; 3] {
+    [
+        Tensor::rand_uniform([bh, lq, dh], -1.5, 1.5, seed).to_vec(),
+        Tensor::rand_uniform([bh, lk, dh], -1.5, 1.5, seed ^ 1).to_vec(),
+        Tensor::rand_uniform([bh, lk, dh], -1.5, 1.5, seed ^ 2).to_vec(),
+    ]
+}
+
 /// Runs fused vs materialized attention and checks the 1e-5 bound.
 #[allow(clippy::too_many_arguments)]
 fn check_attention_pair(
@@ -116,26 +147,8 @@ fn check_attention_pair(
     masked: bool,
     seed: u64,
 ) {
-    let q = Tensor::rand_uniform([bh, lq, dh], -1.5, 1.5, seed).to_vec();
-    let k = Tensor::rand_uniform([bh, lk, dh], -1.5, 1.5, seed ^ 1).to_vec();
-    let v = Tensor::rand_uniform([bh, lk, dh], -1.5, 1.5, seed ^ 2).to_vec();
-    // Key bias: the padding mask as used by the transformer (-1e9 on
-    // masked keys), never masking key 0 so every row has a survivor.
-    let bias: Option<Vec<f32>> = if masked {
-        let mut b = vec![0.0f32; bh * lk];
-        let mut state = seed | 1;
-        for (i, slot) in b.iter_mut().enumerate() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            if i % lk != 0 && state.is_multiple_of(3) {
-                *slot = -1e9;
-            }
-        }
-        Some(b)
-    } else {
-        None
-    };
+    let [q, k, v] = attention_inputs(bh, lq, lk, dh, seed);
+    let bias = masked.then(|| key_mask_bias(bh, lk, seed));
     let scale = 1.0 / (dh as f32).sqrt();
 
     let mut fast = vec![f32::NAN; bh * lq * dh];
@@ -150,6 +163,130 @@ fn check_attention_pair(
         assert!((f - n).abs() < 1e-5, "elem {}: fused {} vs naive {}", i, f, n);
     }
     assert!(lse.iter().all(|l| l.is_finite()));
+}
+
+/// Tiled fused backward vs the materialized reference backward: `dQ`,
+/// `dK` and `dV` within the forward's flat 1e-5 bound. The forward that
+/// supplies `out` and `lse` runs at the same tiling.
+#[allow(clippy::too_many_arguments)]
+fn check_attention_backward_pair(
+    bh: usize,
+    lq: usize,
+    lk: usize,
+    dh: usize,
+    q_tile: usize,
+    k_tile: usize,
+    masked: bool,
+    seed: u64,
+) {
+    let [q, k, v] = attention_inputs(bh, lq, lk, dh, seed);
+    let d_out = Tensor::rand_uniform([bh, lq, dh], -1.0, 1.0, seed ^ 3).to_vec();
+    let bias = masked.then(|| key_mask_bias(bh, lk, seed));
+    let scale = 1.0 / (dh as f32).sqrt();
+
+    let mut out = vec![f32::NAN; bh * lq * dh];
+    let mut lse = vec![f32::NAN; bh * lq];
+    fused_attention_forward(
+        &q, &k, &v, bias.as_deref(), bh, lq, lk, dh, scale, q_tile, k_tile, &mut out, &mut lse,
+    );
+    // NaN prefill proves the backward overwrites every gradient element.
+    let mut fast = [vec![f32::NAN; q.len()], vec![f32::NAN; k.len()], vec![f32::NAN; v.len()]];
+    let [dq, dk, dv] = &mut fast;
+    fused_attention_backward(
+        &q, &k, &v, bias.as_deref(), &out, &lse, &d_out, bh, lq, lk, dh, scale, q_tile, k_tile,
+        dq, dk, dv,
+    );
+    let mut naive = [vec![0.0f32; q.len()], vec![0.0f32; k.len()], vec![0.0f32; v.len()]];
+    let [nq, nk, nv] = &mut naive;
+    attention_backward_naive(
+        &q, &k, &v, bias.as_deref(), &d_out, bh, lq, lk, dh, scale, nq, nk, nv,
+    );
+
+    for (name, (f, n)) in ["dq", "dk", "dv"].iter().zip(fast.iter().zip(naive.iter())) {
+        for (i, (&a, &b)) in f.iter().zip(n.iter()).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-5,
+                "{} elem {} ([{}, {}, {}, {}], tiles {}x{}, masked {}): tiled {} vs naive {}",
+                name, i, bh, lq, lk, dh, q_tile, k_tile, masked, a, b
+            );
+        }
+    }
+}
+
+/// The softmax `exp` row of `kind` maps every argument below
+/// `ln(FLT_MIN)` (`s - m < -87.34`) to exactly `+0.0`, never returns a
+/// subnormal, and keeps in-range arguments normal and positive — on the
+/// vector lanes and the scalar tail alike.
+fn check_softmax_exp_underflow(kind: BackendKind) {
+    let bk = kind.instance().expect("detected backend has an instance");
+    let mut args: Vec<f32> =
+        vec![-1e9, -1e30, f32::NEG_INFINITY, -200.0, -103.0, -100.0, -90.0, -88.0];
+    // A fine sweep across the boundary, and the in-range neighbourhood.
+    args.extend((0..64).map(|i| -87.5 + i as f32 * 0.005));
+    args.extend([-87.336_55, -87.336_54, -87.336_53, -87.0, -50.0, -1.0, 0.0]);
+    // Odd length so some arguments land in the scalar tail.
+    args.push(-95.0);
+    for m in [0.0f32, 2.5] {
+        let mut row: Vec<f32> = args.iter().map(|&a| a + m).collect();
+        let sum = bk.softmax_exp_row(&mut row, m);
+        assert!(sum.is_finite() && sum > 0.0, "[{}] row sum {}", kind.name(), sum);
+        for (&arg, &e) in args.iter().zip(row.iter()) {
+            let x = (arg + m) - m;
+            let name = kind.name();
+            assert!(!e.is_subnormal(), "[{}] exp({}) = {:e} is subnormal", name, x, e);
+            if x < -87.336_54 {
+                assert_eq!(e.to_bits(), 0.0f32.to_bits(), "[{}] exp({}) = {:e}", name, x, e);
+            } else {
+                assert!(e.is_normal() && e > 0.0, "[{}] exp({}) = {:e}", name, x, e);
+            }
+        }
+    }
+}
+
+/// Masked keys are inert: their `dK`/`dV` rows are exactly zero, and
+/// changing `V` at a masked key leaves the forward output bit-identical.
+fn check_masked_keys_are_inert(bh: usize, l: usize, dh: usize, seed: u64) {
+    let [q, k, v] = attention_inputs(bh, l, l, dh, seed);
+    let d_out = Tensor::rand_uniform([bh, l, dh], -1.0, 1.0, seed ^ 3).to_vec();
+    let bias = key_mask_bias(bh, l, seed);
+    let scale = 1.0 / (dh as f32).sqrt();
+    let (qt, kt) = (DEFAULT_Q_TILE, DEFAULT_K_TILE);
+    let forward = |v: &[f32]| {
+        let mut out = vec![0.0f32; bh * l * dh];
+        let mut lse = vec![0.0f32; bh * l];
+        fused_attention_forward(
+            &q, &k, v, Some(&bias), bh, l, l, dh, scale, qt, kt, &mut out, &mut lse,
+        );
+        (out, lse)
+    };
+    let (out, lse) = forward(&v);
+    let masked: Vec<usize> = (0..bh * l).filter(|&r| bias[r] < 0.0).collect();
+    assert!(!masked.is_empty(), "the mask must hide some keys");
+
+    let mut v2 = v.clone();
+    for &r in &masked {
+        for x in &mut v2[r * dh..(r + 1) * dh] {
+            *x = -3.0 * *x + 0.75;
+        }
+    }
+    let bits = |t: &[f32]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (out2, lse2) = forward(&v2);
+    assert_eq!(bits(&out), bits(&out2), "V at masked keys changed the output");
+    assert_eq!(bits(&lse), bits(&lse2), "V at masked keys changed the lse");
+
+    let mut dq = vec![0.0f32; q.len()];
+    let mut dk = vec![0.0f32; k.len()];
+    let mut dv = vec![0.0f32; v.len()];
+    fused_attention_backward(
+        &q, &k, &v, Some(&bias), &out, &lse, &d_out, bh, l, l, dh, scale, qt, kt, &mut dq, &mut dk,
+        &mut dv,
+    );
+    for &r in &masked {
+        assert!(dk[r * dh..(r + 1) * dh].iter().all(|&g| g == 0.0), "dK row {} not zero", r);
+        assert!(dv[r * dh..(r + 1) * dh].iter().all(|&g| g == 0.0), "dV row {} not zero", r);
+    }
+    // The unmasked rows still carry gradient.
+    assert!(dv.iter().any(|&g| g != 0.0) && dk.iter().any(|&g| g != 0.0));
 }
 
 /// Fused bias+GELU must match the unfused scalar form bit-for-bit.
@@ -344,6 +481,20 @@ proptest! {
     }
 
     #[test]
+    fn attention_backward_tiled_matches_naive(
+        bh in 1usize..3,
+        lq in 1usize..40,
+        lk in 1usize..40,
+        dh in prop_oneof![Just(1usize), Just(3usize), Just(8usize), Just(16usize), Just(19usize)],
+        q_tile in 1usize..12,
+        k_tile in 1usize..20,
+        masked in prop_oneof![Just(false), Just(true)],
+        seed in 0u64..1_000_000,
+    ) {
+        check_attention_backward_pair(bh, lq, lk, dh, q_tile, k_tile, masked, seed);
+    }
+
+    #[test]
     fn bias_gelu_is_bit_identical_to_unfused(rows in 1usize..12, d in 1usize..24, seed in 0u64..1_000_000) {
         check_bias_gelu_bits(rows, d, seed);
     }
@@ -396,6 +547,7 @@ fn attention_zero_batch_is_a_no_op() {
     let mut lse: Vec<f32> = vec![];
     fused_attention_forward(&[], &[], &[], None, 0, 3, 4, 2, 1.0, 4, 4, &mut out, &mut lse);
     attention_naive(&[], &[], &[], None, 0, 3, 4, 2, 1.0, &mut []);
+    attention_backward_naive(&[], &[], &[], None, &[], 0, 3, 4, 2, 1.0, &mut [], &mut [], &mut []);
 }
 
 /// Regression for the old `gemm_row` zero-skip branch: `if av == 0.0 {
@@ -462,6 +614,30 @@ fn per_backend_differential_matrix() {
         check_attention_pair(2, 6, 6, 4, 3, 2, true, 23);
         check_attention_pair(2, 33, 17, 8, 8, 8, true, 24);
         check_attention_nan_query();
+
+        // Attention backward: dh 8 and 16 fill the 4x8 blocks; lq != lk,
+        // ragged tiles, a single key, with and without the mask.
+        let (qt, kt) = (DEFAULT_Q_TILE, DEFAULT_K_TILE);
+        for (i, &(bh, lq, lk, dh, q_tile, k_tile)) in [
+            (2usize, 64usize, 64usize, 16usize, qt, kt), // full tiles, training head dim
+            (2, 106, 106, 16, qt, kt),                   // ragged last q- and k-tile
+            (2, 33, 106, 8, qt, kt),                     // lq != lk
+            (1, 106, 33, 16, qt, kt),                    // lq != lk, k-tile smaller than default
+            (2, 64, 33, 8, 12, 20),                      // ragged tiles inside blocks
+            (3, 33, 1, 16, qt, kt),                      // single key
+            (1, 5, 7, 3, 2, 3),                          // no full block at all
+        ]
+        .iter()
+        .enumerate()
+        {
+            for masked in [false, true] {
+                let seed = 50 + i as u64;
+                check_attention_backward_pair(bh, lq, lk, dh, q_tile, k_tile, masked, seed);
+            }
+        }
+        check_softmax_exp_underflow(kind);
+        check_masked_keys_are_inert(2, 106, 16, 61);
+        check_masked_keys_are_inert(1, 33, 8, 62);
 
         // Traversal-only fusions: exact bits on every backend.
         check_bias_gelu_bits(9, 13, 31);
