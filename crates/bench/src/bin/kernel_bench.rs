@@ -15,10 +15,15 @@
 //! 3. **Attention backward** at the UNETR training shape (16 batch-heads,
 //!    L = 256, Dh = 16): the tiled fused backward must beat the
 //!    materialized `attention_backward_naive` by [`MIN_ATTN_BWD_SPEEDUP`]x.
+//! 4. **CRC-32** over one 1 MiB APFW1 segment payload: the slice-by-16
+//!    `crc32` must beat the byte-wise `crc32_bytewise` reference by
+//!    [`MIN_CRC32_SPEEDUP`]x. It runs no backend code, so it is measured
+//!    once rather than per backend.
 //!
-//! The gates apply to the **best-detected** backend (what production
-//! dispatch selects); the other backends' numbers are informational and
-//! archived in `results/kernel_bench.json` under `per_backend`.
+//! The kernel gates apply to the **best-detected** backend (what
+//! production dispatch selects); the other backends' numbers are
+//! informational and archived in `results/kernel_bench.json` under
+//! `per_backend`.
 //!
 //! The run installs a live global telemetry registry, so the report also
 //! captures the `apf_tensor_*` counters (packed-panel reuse, fused-kernel
@@ -28,6 +33,7 @@
 //!         [--iters 7] [--quick]`
 
 use apf_bench::{print_table, save_json, Args};
+use apf_core::crc32::{crc32, crc32_bytewise};
 use apf_tensor::kernels::attention::{
     attention_backward_naive, fused_attention_backward, fused_attention_forward, DEFAULT_K_TILE,
     DEFAULT_Q_TILE,
@@ -46,6 +52,8 @@ const MIN_ATTN_SPEEDUP: f64 = 1.05;
 /// Acceptance bound for the tiled attention backward vs the materialized
 /// reference backward on the best-detected backend.
 const MIN_ATTN_BWD_SPEEDUP: f64 = 1.5;
+/// Acceptance bound for slice-by-16 CRC-32 vs the byte-wise reference.
+const MIN_CRC32_SPEEDUP: f64 = 3.0;
 /// Re-measure attempts before the gate gives up on a noisy machine.
 const MAX_ATTEMPTS: usize = 4;
 
@@ -64,6 +72,9 @@ const BWD_L: usize = 256;
 const BWD_DH: usize = 16;
 /// `1 / sqrt(BWD_DH)`.
 const BWD_SCALE: f32 = 0.25;
+
+/// One 512 x 512 f32 segment payload, the bytes every APFW1 request hashes.
+const CRC_BYTES: usize = 1 << 20;
 
 #[derive(Serialize)]
 struct KernelReport {
@@ -84,6 +95,11 @@ struct KernelReport {
     attn_bwd_tiled_s: f64,
     attn_bwd_speedup: f64,
     min_attn_bwd_speedup: f64,
+    crc32_bytes: usize,
+    crc32_mb_per_s: f64,
+    crc32_bytewise_mb_per_s: f64,
+    crc32_speedup: f64,
+    min_crc32_speedup: f64,
     gating_backend: String,
     per_backend: Vec<BackendRun>,
     counters: Counters,
@@ -383,6 +399,37 @@ fn main() {
         );
     });
 
+    // CRC-32 is backend-independent: measure it once, with the same
+    // re-measure attempts (minima folded) as the gated backend.
+    let crc_data: Vec<u8> =
+        (0..CRC_BYTES).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 13) as u8).collect();
+    assert_eq!(crc32(&crc_data), crc32_bytewise(&crc_data), "CRC-32 arms disagree");
+    let measure_crc = || {
+        let fast = min_time(iters, || {
+            std::hint::black_box(crc32(std::hint::black_box(&crc_data)));
+        });
+        let bytewise = min_time(iters, || {
+            std::hint::black_box(crc32_bytewise(std::hint::black_box(&crc_data)));
+        });
+        (fast, bytewise)
+    };
+    let (mut crc_s, mut crc_bytewise_s) = measure_crc();
+    for attempt in 0..MAX_ATTEMPTS {
+        if crc_bytewise_s / crc_s >= MIN_CRC32_SPEEDUP {
+            break;
+        }
+        eprintln!(
+            "attempt {}: CRC-32 {:.2}x below gate; re-measuring",
+            attempt + 1,
+            crc_bytewise_s / crc_s
+        );
+        let (fast, bytewise) = measure_crc();
+        crc_s = crc_s.min(fast);
+        crc_bytewise_s = crc_bytewise_s.min(bytewise);
+    }
+    let crc_speedup = crc_bytewise_s / crc_s;
+    let mb_per_s = |secs: f64| CRC_BYTES as f64 / secs / 1e6;
+
     // ---- Per-backend matrix: force each detected backend in turn ----
     let detected = BackendKind::detected();
     let gating = detected[0]; // what production dispatch selects
@@ -415,7 +462,7 @@ fn main() {
     force_backend(None).expect("restoring default backend");
 
     let best = per_backend[0].clone();
-    let passed = best.passes();
+    let passed = best.passes() && crc_speedup >= MIN_CRC32_SPEEDUP;
 
     let snap = tel.snapshot();
     let count = |name: &str| snap.get(name, &[]).map_or(0.0, |m| m.value);
@@ -442,6 +489,15 @@ fn main() {
         vec![
             format!("attention_backward_naive {}x{}x{}", BWD_BH, BWD_L, BWD_DH),
             format!("{:.4} s", bwd_naive_s),
+        ],
+        vec![
+            format!("crc32 slice-by-16 vs bytewise, {} MiB", CRC_BYTES >> 20),
+            format!(
+                "{:.0} MB/s vs {:.0} MB/s ({:.2}x)",
+                mb_per_s(crc_s),
+                mb_per_s(crc_bytewise_s),
+                crc_speedup
+            ),
         ],
     ];
     for run in &per_backend {
@@ -471,13 +527,15 @@ fn main() {
         format!("gates on [{}]", gating.name()),
         format!(
             "SGEMM {:.2}x (need >= {:.1}x), attention {:.2}x (need >= {:.2}x), \
-             backward {:.2}x (need >= {:.1}x)",
+             backward {:.2}x (need >= {:.1}x); CRC-32 {:.2}x (need >= {:.1}x)",
             best.gemm_speedup,
             MIN_GEMM_SPEEDUP,
             best.attn_speedup,
             MIN_ATTN_SPEEDUP,
             best.attn_bwd_speedup,
-            MIN_ATTN_BWD_SPEEDUP
+            MIN_ATTN_BWD_SPEEDUP,
+            crc_speedup,
+            MIN_CRC32_SPEEDUP
         ),
     ]);
     rows.push(vec![
@@ -510,6 +568,11 @@ fn main() {
             attn_bwd_tiled_s: best.attn_bwd_tiled_s,
             attn_bwd_speedup: best.attn_bwd_speedup,
             min_attn_bwd_speedup: MIN_ATTN_BWD_SPEEDUP,
+            crc32_bytes: CRC_BYTES,
+            crc32_mb_per_s: mb_per_s(crc_s),
+            crc32_bytewise_mb_per_s: mb_per_s(crc_bytewise_s),
+            crc32_speedup: crc_speedup,
+            min_crc32_speedup: MIN_CRC32_SPEEDUP,
             gating_backend: gating.name().to_string(),
             per_backend,
             counters,
@@ -542,11 +605,21 @@ fn main() {
         best.attn_bwd_tiled_s,
         bwd_naive_s
     );
+    assert!(
+        crc_speedup >= MIN_CRC32_SPEEDUP,
+        "CRC-32 slice-by-16 speedup {:.2}x below the {:.1}x gate ({:.0} vs {:.0} MB/s)",
+        crc_speedup,
+        MIN_CRC32_SPEEDUP,
+        mb_per_s(crc_s),
+        mb_per_s(crc_bytewise_s)
+    );
     println!(
-        "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x, attention backward {:.2}x",
+        "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x, \
+         attention backward {:.2}x; CRC-32 {:.2}x",
         gating.name(),
         best.gemm_speedup,
         best.attn_speedup,
-        best.attn_bwd_speedup
+        best.attn_bwd_speedup,
+        crc_speedup
     );
 }

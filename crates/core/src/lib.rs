@@ -42,7 +42,7 @@ pub mod stats;
 pub mod uniform;
 pub mod viz;
 
-pub use crc32::{crc32, crc32_f32, Crc32};
+pub use crc32::{crc32, crc32_bytewise, crc32_f32, Crc32};
 pub use error::PatchError;
 pub use fault::{Fault, FaultPlan};
 pub use morton::{morton_decode, morton_encode};

@@ -2,8 +2,8 @@
 
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_core::{
-    extract_patches, morton_decode, morton_encode, uniform_patches, PatchError, QuadTree,
-    QuadTreeConfig, SplitCriterion,
+    crc32, crc32_bytewise, extract_patches, morton_decode, morton_encode, uniform_patches, Crc32,
+    PatchError, QuadTree, QuadTreeConfig, SplitCriterion,
 };
 use apf_imaging::GrayImage;
 use proptest::prelude::*;
@@ -227,5 +227,36 @@ proptest! {
                 }
             },
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The slice-by-16 `Crc32` equals the byte-wise reference for any
+    /// length, any start offset (unaligned slices) and any way of
+    /// splitting the stream across `update` calls.
+    #[test]
+    fn crc32_matches_bytewise_reference(
+        len in 0usize..4096,
+        start in 0usize..16,
+        seed in 0u64..u64::MAX,
+        splits in proptest::collection::vec(0usize..4096, 1..=3),
+    ) {
+        let mix = |i: usize| seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let backing: Vec<u8> = (0..start + len).map(|i| (mix(i) >> 56) as u8).collect();
+        let data = &backing[start..];
+        let reference = crc32_bytewise(data);
+        prop_assert_eq!(crc32(data), reference);
+
+        let mut cuts: Vec<usize> = splits.iter().map(|&s| s % (len + 1)).collect();
+        cuts.sort_unstable();
+        let mut h = Crc32::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([len]) {
+            h.update(&data[at..cut]);
+            at = cut;
+        }
+        prop_assert_eq!(h.finalize(), reference);
     }
 }

@@ -32,9 +32,15 @@ impl Default for CannyConfig {
 ///
 /// Returns a binary image: 1.0 on edge pixels, 0.0 elsewhere.
 pub fn canny(img: &GrayImage, cfg: CannyConfig) -> GrayImage {
-    assert!(cfg.low <= cfg.high, "canny: low threshold above high");
-    let (w, h) = (img.width(), img.height());
     let (gx, gy) = sobel(img);
+    canny_from_gradients(&gx, &gy, cfg)
+}
+
+/// Canny's stages after Sobel: magnitude, non-maximum suppression and
+/// hysteresis over given `(gx, gy)` gradients.
+pub(crate) fn canny_from_gradients(gx: &GrayImage, gy: &GrayImage, cfg: CannyConfig) -> GrayImage {
+    assert!(cfg.low <= cfg.high, "canny: low threshold above high");
+    let (w, h) = (gx.width(), gx.height());
 
     // Gradient magnitude scaled to the 8-bit convention.
     let mut mag = vec![0.0f32; w * h];

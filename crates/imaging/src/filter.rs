@@ -1,6 +1,14 @@
 //! Separable Gaussian blur and Sobel gradients.
-
-use rayon::prelude::*;
+//!
+//! Both filters work on whole rows: each source row is replicate-padded
+//! once into a scratch buffer, then the blur runs one axpy per kernel tap
+//! across the row and Sobel reads three padded rows, so the inner loops
+//! are straight slices the compiler vectorises across pixels. Every
+//! pixel still evaluates the per-pixel definition's scalar expression in
+//! its tap order, with no fused multiply-add, so the output is
+//! bit-identical to that definition (kept in this module's tests as the
+//! oracle), and everything downstream of it (Canny, the quadtree, the
+//! streamed gigapixel build) stays exact.
 
 use crate::image::GrayImage;
 
@@ -35,55 +43,70 @@ pub fn gaussian_blur(img: &GrayImage, k: usize, sigma: f32) -> GrayImage {
         return img.clone();
     }
     let kernel = gaussian_kernel(k, sigma);
-    let half = (k / 2) as isize;
+    let half = k / 2;
     let (w, h) = (img.width(), img.height());
 
-    // Horizontal pass.
+    // Horizontal pass: pad each row once, then one axpy per tap.
     let mut tmp = vec![0.0f32; w * h];
-    tmp.par_chunks_mut(w).enumerate().for_each(|(y, row)| {
-        for (x, out) in row.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (i, &kv) in kernel.iter().enumerate() {
-                s += kv * img.get_clamped(x as isize + i as isize - half, y as isize);
-            }
-            *out = s;
+    let mut pad = vec![0.0f32; w + 2 * half];
+    for (row, src) in tmp.chunks_mut(w).zip(img.data().chunks(w)) {
+        pad_row(src, half, &mut pad);
+        for (i, &kv) in kernel.iter().enumerate() {
+            axpy(kv, &pad[i..i + w], row);
         }
-    });
-    let tmp_img = GrayImage::from_raw(w, h, tmp);
+    }
 
-    // Vertical pass.
+    // Vertical pass: the same per-tap axpy over clamped source rows.
     let mut out = vec![0.0f32; w * h];
-    out.par_chunks_mut(w).enumerate().for_each(|(y, row)| {
-        for (x, o) in row.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for (i, &kv) in kernel.iter().enumerate() {
-                s += kv * tmp_img.get_clamped(x as isize, y as isize + i as isize - half);
-            }
-            *o = s;
+    for (y, row) in out.chunks_mut(w).enumerate() {
+        for (i, &kv) in kernel.iter().enumerate() {
+            let sy = (y + i).saturating_sub(half).min(h - 1);
+            axpy(kv, &tmp[sy * w..(sy + 1) * w], row);
         }
-    });
+    }
     GrayImage::from_raw(w, h, out)
+}
+
+/// `out[x] += k * src[x]`: a separate multiply and add, never fused, so
+/// each pixel rounds exactly as the per-pixel definition does.
+#[inline]
+fn axpy(k: f32, src: &[f32], out: &mut [f32]) {
+    for (o, &p) in out.iter_mut().zip(src) {
+        *o += k * p;
+    }
+}
+
+/// Writes `src` into `pad` with `half` replicated border pixels on each
+/// side: `pad[j] == src[clamp(j - half, 0, len - 1)]`.
+fn pad_row(src: &[f32], half: usize, pad: &mut [f32]) {
+    let w = src.len();
+    pad[..half].fill(src[0]);
+    pad[half..half + w].copy_from_slice(src);
+    pad[half + w..].fill(src[w - 1]);
 }
 
 /// Sobel gradients: returns `(gx, gy)` response images.
 pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
     let (w, h) = (img.width(), img.height());
+    let src = img.data();
+    let row = |y: usize| &src[y * w..(y + 1) * w];
     let mut gx = vec![0.0f32; w * h];
     let mut gy = vec![0.0f32; w * h];
-    gx.par_chunks_mut(w)
-        .zip(gy.par_chunks_mut(w))
-        .enumerate()
-        .for_each(|(y, (gxr, gyr))| {
-            let yi = y as isize;
-            for x in 0..w {
-                let xi = x as isize;
-                let p = |dx: isize, dy: isize| img.get_clamped(xi + dx, yi + dy);
-                gxr[x] = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1))
-                    - (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
-                gyr[x] = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1))
-                    - (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
-            }
-        });
+    // The rows above, at and below `y`, each padded by one pixel.
+    let (mut up, mut mid, mut down) = (vec![0.0f32; w + 2], vec![0.0; w + 2], vec![0.0; w + 2]);
+    for (y, (gxr, gyr)) in gx.chunks_mut(w).zip(gy.chunks_mut(w)).enumerate() {
+        pad_row(row(y.saturating_sub(1)), 1, &mut up);
+        pad_row(row(y), 1, &mut mid);
+        pad_row(row((y + 1).min(h - 1)), 1, &mut down);
+        // `p(dx, dy)` of the per-pixel definition is `{up,mid,down}[x + 1 + dx]`.
+        let (ul, uc, ur) = (&up[..w], &up[1..w + 1], &up[2..]);
+        let (ml, mr) = (&mid[..w], &mid[2..]);
+        let (dl, dc, dr) = (&down[..w], &down[1..w + 1], &down[2..]);
+        for x in 0..w {
+            gxr[x] = (ur[x] + 2.0 * mr[x] + dr[x]) - (ul[x] + 2.0 * ml[x] + dl[x]);
+            gyr[x] = (dl[x] + 2.0 * dc[x] + dr[x]) - (ul[x] + 2.0 * uc[x] + ur[x]);
+        }
+    }
     (
         GrayImage::from_raw(w, h, gx),
         GrayImage::from_raw(w, h, gy),
@@ -93,6 +116,98 @@ pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canny::{canny, canny_from_gradients, CannyConfig};
+    use proptest::prelude::*;
+
+    /// The per-pixel blur definition: every tap of every pixel reads its
+    /// source through `get_clamped`. The oracle for `gaussian_blur`.
+    fn gaussian_blur_reference(img: &GrayImage, k: usize, sigma: f32) -> GrayImage {
+        if k <= 1 {
+            return img.clone();
+        }
+        let kernel = gaussian_kernel(k, sigma);
+        let half = (k / 2) as isize;
+        let (w, h) = (img.width(), img.height());
+        let tmp = GrayImage::from_fn(w, h, |x, y| {
+            let mut s = 0.0;
+            for (i, &kv) in kernel.iter().enumerate() {
+                s += kv * img.get_clamped(x as isize + i as isize - half, y as isize);
+            }
+            s
+        });
+        GrayImage::from_fn(w, h, |x, y| {
+            let mut s = 0.0;
+            for (i, &kv) in kernel.iter().enumerate() {
+                s += kv * tmp.get_clamped(x as isize, y as isize + i as isize - half);
+            }
+            s
+        })
+    }
+
+    /// The per-pixel Sobel definition. The oracle for `sobel`.
+    fn sobel_reference(img: &GrayImage) -> (GrayImage, GrayImage) {
+        let p = |x: usize, y: usize, dx: isize, dy: isize| {
+            img.get_clamped(x as isize + dx, y as isize + dy)
+        };
+        let (w, h) = (img.width(), img.height());
+        let gx = GrayImage::from_fn(w, h, |x, y| {
+            (p(x, y, 1, -1) + 2.0 * p(x, y, 1, 0) + p(x, y, 1, 1))
+                - (p(x, y, -1, -1) + 2.0 * p(x, y, -1, 0) + p(x, y, -1, 1))
+        });
+        let gy = GrayImage::from_fn(w, h, |x, y| {
+            (p(x, y, -1, 1) + 2.0 * p(x, y, 0, 1) + p(x, y, 1, 1))
+                - (p(x, y, -1, -1) + 2.0 * p(x, y, 0, -1) + p(x, y, 1, -1))
+        });
+        (gx, gy)
+    }
+
+    fn bits(img: &GrayImage) -> Vec<u32> {
+        img.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Pixels that stress rounding: ±0.0, subnormals of both signs,
+    /// ordinary negative and positive values, and values near `f32::MAX`.
+    fn pixel() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            -2.0f32..2.0,
+            Just(0.0f32),
+            Just(-0.0f32),
+            0.0f32..f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE..0.0f32,
+            -1e3f32..1e3,
+            1e30f32..f32::MAX,
+            -f32::MAX..-1e30f32,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Row-sliced blur, Sobel and the Canny built on them are
+        /// bit-identical to the per-pixel definitions, borders, odd
+        /// shapes and kernels wider than the image included.
+        #[test]
+        fn filters_match_per_pixel_reference_bits(
+            w in 1usize..=40,
+            h in 1usize..=40,
+            k_half in 0usize..7,
+            sigma in prop_oneof![Just(0.0f32), Just(0.5f32), Just(2.0f32)],
+            pool in prop::collection::vec(pixel(), 40 * 40),
+        ) {
+            let img = GrayImage::from_raw(w, h, pool[..w * h].to_vec());
+            let k = 2 * k_half + 1;
+            let blurred = gaussian_blur(&img, k, sigma);
+            prop_assert_eq!(bits(&blurred), bits(&gaussian_blur_reference(&img, k, sigma)));
+            for src in [&img, &blurred] {
+                let (gx, gy) = sobel(src);
+                let (rx, ry) = sobel_reference(src);
+                prop_assert_eq!(bits(&gx), bits(&rx));
+                prop_assert_eq!(bits(&gy), bits(&ry));
+                let cfg = CannyConfig::default();
+                prop_assert_eq!(bits(&canny(src, cfg)), bits(&canny_from_gradients(&rx, &ry, cfg)));
+            }
+        }
+    }
 
     #[test]
     fn kernel_is_normalized_and_symmetric() {

@@ -617,10 +617,11 @@ impl WireRequest {
                         ),
                     });
                 }
-                let mut pixels = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    pixels.push(c.f32("segment pixel")?);
-                }
+                let pixels = c
+                    .take(have * 4, "segment pixels")?
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+                    .collect();
                 c.finish("segment")?;
                 Ok(WireRequest::Segment { deadline_ms, width, height, pixels })
             }

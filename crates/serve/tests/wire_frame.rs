@@ -34,6 +34,19 @@ fn ctx_from(trace_id: u64, parent_span: u64, sampled: bool) -> Option<TraceConte
     }
 }
 
+/// f32 bit patterns biased towards the values a codec could mangle.
+fn pixel_bits() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..u32::MAX,
+        Just(0x0000_0000u32),         // +0.0
+        Just(0x8000_0000u32),         // -0.0
+        1u32..0x0080_0000,            // positive subnormals
+        0x8000_0001u32..0x8080_0000,  // negative subnormals
+        0x7F80_0001u32..=0x7FFF_FFFF, // NaN payloads, quiet and signalling
+        0xFF80_0001u32..0xFFFF_FFFF,  // negative NaN payloads
+    ]
+}
+
 proptest! {
     /// Arbitrary bytes: decoding returns a typed error or a valid frame,
     /// and never panics. (Random bytes virtually never survive the CRCs,
@@ -185,21 +198,45 @@ proptest! {
         }
     }
 
-    /// Segment requests roundtrip through the payload codec.
+    /// Segment requests roundtrip through the payload codec bit for bit:
+    /// every pixel draws its own bit pattern (NaN payloads, ±0.0 and
+    /// subnormals included) over non-square images, so a decode that
+    /// reorders, misaligns or canonicalises pixels fails. A pixel body
+    /// 1–3 bytes off a multiple of 4, short or long, is a typed error.
     #[test]
     fn segment_requests_roundtrip(
         deadline_ms in 0u64..100_000,
-        side in 1u32..24,
-        fill in -1.0f32..1.0,
+        width in 1u32..24,
+        height in 1u32..24,
+        pool in prop::collection::vec(pixel_bits(), 23 * 23),
+        off in 1usize..4,
     ) {
+        let bits = pool[..(width * height) as usize].to_vec();
         let req = WireRequest::Segment {
             deadline_ms,
-            width: side,
-            height: side,
-            pixels: vec![fill; (side * side) as usize],
+            width,
+            height,
+            pixels: bits.iter().map(|&b| f32::from_bits(b)).collect(),
         };
-        let decoded = WireRequest::decode(req.kind(), &req.encode()).expect("valid payload");
-        prop_assert_eq!(decoded, req);
+        let payload = req.encode();
+        match WireRequest::decode(req.kind(), &payload).expect("valid payload") {
+            WireRequest::Segment { deadline_ms: d, width: w, height: h, pixels } => {
+                prop_assert_eq!((d, w, h), (deadline_ms, width, height));
+                let got: Vec<u32> = pixels.iter().map(|p| p.to_bits()).collect();
+                prop_assert_eq!(got, bits);
+            }
+            other => prop_assert!(false, "decoded as {:?}", other.kind()),
+        }
+
+        let short = &payload[..payload.len() - off];
+        let mut long = payload.clone();
+        long.extend(std::iter::repeat_n(0xA5, off));
+        for body in [short, &long[..]] {
+            prop_assert!(matches!(
+                WireRequest::decode(FrameKind::Segment, body),
+                Err(WireError::BadPayload { .. })
+            ));
+        }
     }
 
     /// Statuses roundtrip through the payload codec; labels and retry
