@@ -15,7 +15,11 @@
 //! 3. **Attention backward** at the UNETR training shape (16 batch-heads,
 //!    L = 256, Dh = 16): the tiled fused backward must beat the
 //!    materialized `attention_backward_naive` by [`MIN_ATTN_BWD_SPEEDUP`]x.
-//! 4. **CRC-32** over one 1 MiB APFW1 segment payload: the slice-by-16
+//! 4. **Bias+GELU** at the `train_unetr` MLP shape ([1024, 256]): one
+//!    forward plus one backward through the backend must beat the same
+//!    pair on the scalar (libm `tanh`) reference backend by
+//!    [`MIN_GELU_SPEEDUP`]x.
+//! 5. **CRC-32** over one 1 MiB APFW1 segment payload: the slice-by-16
 //!    `crc32` must beat the byte-wise `crc32_bytewise` reference by
 //!    [`MIN_CRC32_SPEEDUP`]x. It runs no backend code, so it is measured
 //!    once rather than per backend.
@@ -39,6 +43,7 @@ use apf_tensor::kernels::attention::{
     DEFAULT_Q_TILE,
 };
 use apf_tensor::kernels::backend::{force_backend, BackendKind};
+use apf_tensor::kernels::fused::{bias_gelu_backward, bias_gelu_forward, gelu_fwd, gelu_grad};
 use apf_tensor::kernels::gemm::{gemm, gemm_naive, gemm_packed};
 use apf_tensor::prelude::*;
 use apf_telemetry::Telemetry;
@@ -52,6 +57,9 @@ const MIN_ATTN_SPEEDUP: f64 = 1.05;
 /// Acceptance bound for the tiled attention backward vs the materialized
 /// reference backward on the best-detected backend.
 const MIN_ATTN_BWD_SPEEDUP: f64 = 1.5;
+/// Acceptance bound for bias+GELU forward plus backward vs the scalar
+/// reference backend on the best-detected backend.
+const MIN_GELU_SPEEDUP: f64 = 4.0;
 /// Acceptance bound for slice-by-16 CRC-32 vs the byte-wise reference.
 const MIN_CRC32_SPEEDUP: f64 = 3.0;
 /// Re-measure attempts before the gate gives up on a noisy machine.
@@ -72,6 +80,11 @@ const BWD_L: usize = 256;
 const BWD_DH: usize = 16;
 /// `1 / sqrt(BWD_DH)`.
 const BWD_SCALE: f32 = 0.25;
+
+/// The MLP hidden activation of one `train_unetr` block: 4 images x
+/// L = 256 tokens, MLP hidden width 256 (4 x dim 64).
+const GELU_ROWS: usize = 1024;
+const GELU_D: usize = 256;
 
 /// One 512 x 512 f32 segment payload, the bytes every APFW1 request hashes.
 const CRC_BYTES: usize = 1 << 20;
@@ -95,6 +108,11 @@ struct KernelReport {
     attn_bwd_tiled_s: f64,
     attn_bwd_speedup: f64,
     min_attn_bwd_speedup: f64,
+    gelu_shape: [usize; 2],
+    gelu_scalar_s: f64,
+    gelu_s: f64,
+    gelu_speedup: f64,
+    min_gelu_speedup: f64,
     crc32_bytes: usize,
     crc32_mb_per_s: f64,
     crc32_bytewise_mb_per_s: f64,
@@ -120,6 +138,8 @@ struct BackendRun {
     attn_speedup: f64,
     attn_bwd_tiled_s: f64,
     attn_bwd_speedup: f64,
+    gelu_s: f64,
+    gelu_speedup: f64,
 }
 
 impl BackendRun {
@@ -127,6 +147,7 @@ impl BackendRun {
         self.gemm_speedup >= MIN_GEMM_SPEEDUP
             && self.attn_speedup >= MIN_ATTN_SPEEDUP
             && self.attn_bwd_speedup >= MIN_ATTN_BWD_SPEEDUP
+            && self.gelu_speedup >= MIN_GELU_SPEEDUP
     }
 }
 
@@ -201,6 +222,8 @@ struct Inputs {
     scale: f32,
     /// Backward operands at the training shape: `[q, k, v, out, lse, d_out]`.
     bwd: [Vec<f32>; 6],
+    /// Bias+GELU operands: `[x, bias, g]`.
+    gelu: [Vec<f32>; 3],
 }
 
 struct Scratch {
@@ -213,14 +236,34 @@ struct Scratch {
     /// `[dq, dk, dv]` of the tiled and the naive backward.
     grads: [Vec<f32>; 3],
     grads_naive: [Vec<f32>; 3],
+    /// Bias+GELU forward output and input gradient.
+    gelu_out: [Vec<f32>; 2],
 }
 
+/// One bias+GELU forward plus backward under whatever backend is
+/// currently forced.
+fn time_gelu(iters: usize, inp: &Inputs, scr: &mut Scratch) -> f64 {
+    let [x, bias, g] = &inp.gelu;
+    let [out, gx] = &mut scr.gelu_out;
+    let secs = min_time(iters, || {
+        bias_gelu_forward(x, bias, std::hint::black_box(&mut *out));
+        bias_gelu_backward(x, bias, g, std::hint::black_box(&mut *gx));
+    });
+    // Sanity: the contract's bounds against the libm forms.
+    for (i, (&o, &d)) in out.iter().zip(gx.iter()).enumerate() {
+        let v = x[i] + bias[i % GELU_D];
+        assert!((o - gelu_fwd(v)).abs() <= 1e-6 * v.abs().max(1.0), "bias_gelu diverged at {}", i);
+        assert!((d - g[i] * gelu_grad(v)).abs() <= 1e-5 * g[i].abs(), "bias_gelu grad at {}", i);
+    }
+    secs
+}
 
 /// One full measurement pass under whatever backend is currently forced.
 fn measure_backend(
     iters: usize,
     naive_s: f64,
     bwd_naive_s: f64,
+    gelu_scalar_s: f64,
     inp: &Inputs,
     scr: &mut Scratch,
 ) -> BackendRun {
@@ -291,6 +334,7 @@ fn measure_backend(
             assert!((a - b).abs() < 1e-4, "attention backward diverged at {}: {} vs {}", i, a, b);
         }
     }
+    let gelu_s = time_gelu(iters, inp, scr);
     BackendRun {
         backend: String::new(), // filled by the caller
         gemm_packed_s: packed_s,
@@ -301,12 +345,20 @@ fn measure_backend(
         attn_speedup: mat_s / fused_s,
         attn_bwd_tiled_s: bwd_s,
         attn_bwd_speedup: bwd_naive_s / bwd_s,
+        gelu_s,
+        gelu_speedup: gelu_scalar_s / gelu_s,
     }
 }
 
 /// Fold `next` into `acc`, keeping the per-arm minima (noise is additive,
 /// so minima only improve with more samples).
-fn fold_min(acc: &mut BackendRun, next: &BackendRun, naive_s: f64, bwd_naive_s: f64) {
+fn fold_min(
+    acc: &mut BackendRun,
+    next: &BackendRun,
+    naive_s: f64,
+    bwd_naive_s: f64,
+    gelu_scalar_s: f64,
+) {
     acc.gemm_packed_s = acc.gemm_packed_s.min(next.gemm_packed_s);
     acc.attn_fused_s = acc.attn_fused_s.min(next.attn_fused_s);
     acc.attn_materialized_s = acc.attn_materialized_s.min(next.attn_materialized_s);
@@ -316,6 +368,8 @@ fn fold_min(acc: &mut BackendRun, next: &BackendRun, naive_s: f64, bwd_naive_s: 
     acc.attn_speedup = acc.attn_materialized_s / acc.attn_fused_s;
     acc.attn_bwd_tiled_s = acc.attn_bwd_tiled_s.min(next.attn_bwd_tiled_s);
     acc.attn_bwd_speedup = bwd_naive_s / acc.attn_bwd_tiled_s;
+    acc.gelu_s = acc.gelu_s.min(next.gelu_s);
+    acc.gelu_speedup = gelu_scalar_s / acc.gelu_s;
 }
 
 /// Unit-scale backward operands at the training shape; `out` and `lse`
@@ -360,6 +414,11 @@ fn main() {
         v: Tensor::rand_uniform([ATTN_BH, ATTN_S, ATTN_DH], -1.0, 1.0, 5).to_vec(),
         scale: 1.0 / (ATTN_DH as f32).sqrt(),
         bwd: backward_operands(),
+        gelu: [
+            Tensor::rand_uniform([GELU_ROWS, GELU_D], -4.0, 4.0, 10).to_vec(),
+            Tensor::rand_uniform([GELU_D], -1.0, 1.0, 11).to_vec(),
+            Tensor::rand_uniform([GELU_ROWS, GELU_D], -1.0, 1.0, 12).to_vec(),
+        ],
     };
     let mut scr = Scratch {
         c: vec![0.0f32; GEMM_M * GEMM_N],
@@ -370,6 +429,7 @@ fn main() {
         lse: vec![0.0f32; ATTN_BH * ATTN_S],
         grads: std::array::from_fn(|_| vec![0.0f32; BWD_BH * BWD_L * BWD_DH]),
         grads_naive: std::array::from_fn(|_| vec![0.0f32; BWD_BH * BWD_L * BWD_DH]),
+        gelu_out: std::array::from_fn(|_| vec![0.0f32; GELU_ROWS * GELU_D]),
     };
     let flops = 2.0 * GEMM_M as f64 * GEMM_K as f64 * GEMM_N as f64;
 
@@ -398,6 +458,11 @@ fn main() {
             dv,
         );
     });
+
+    // The bias+GELU reference is the scalar backend's libm path: measure
+    // it once.
+    force_backend(Some(BackendKind::Scalar)).expect("scalar is always available");
+    let gelu_scalar_s = time_gelu(iters, &inp, &mut scr);
 
     // CRC-32 is backend-independent: measure it once, with the same
     // re-measure attempts (minima folded) as the gated backend.
@@ -436,7 +501,7 @@ fn main() {
     let mut per_backend: Vec<BackendRun> = Vec::new();
     for &kind in &detected {
         force_backend(Some(kind)).expect("detected backend must be forceable");
-        let mut run = measure_backend(iters, naive_s, bwd_naive_s, &inp, &mut scr);
+        let mut run = measure_backend(iters, naive_s, bwd_naive_s, gelu_scalar_s, &inp, &mut scr);
         run.backend = kind.name().to_string();
         if kind == gating {
             // The gated backend gets re-measure attempts so a noisy run
@@ -446,15 +511,17 @@ fn main() {
                     break;
                 }
                 eprintln!(
-                    "attempt {}: SGEMM {:.2}x / attention {:.2}x / backward {:.2}x below gate; \
-                     re-measuring",
+                    "attempt {}: SGEMM {:.2}x / attention {:.2}x / backward {:.2}x / \
+                     bias+GELU {:.2}x below gate; re-measuring",
                     attempt + 1,
                     run.gemm_speedup,
                     run.attn_speedup,
-                    run.attn_bwd_speedup
+                    run.attn_bwd_speedup,
+                    run.gelu_speedup
                 );
-                let next = measure_backend(iters, naive_s, bwd_naive_s, &inp, &mut scr);
-                fold_min(&mut run, &next, naive_s, bwd_naive_s);
+                let next =
+                    measure_backend(iters, naive_s, bwd_naive_s, gelu_scalar_s, &inp, &mut scr);
+                fold_min(&mut run, &next, naive_s, bwd_naive_s, gelu_scalar_s);
             }
         }
         per_backend.push(run);
@@ -491,6 +558,10 @@ fn main() {
             format!("{:.4} s", bwd_naive_s),
         ],
         vec![
+            format!("bias_gelu fwd+bwd {}x{} on scalar", GELU_ROWS, GELU_D),
+            format!("{:.4} s", gelu_scalar_s),
+        ],
+        vec![
             format!("crc32 slice-by-16 vs bytewise, {} MiB", CRC_BYTES >> 20),
             format!(
                 "{:.0} MB/s vs {:.0} MB/s ({:.2}x)",
@@ -522,18 +593,25 @@ fn main() {
                 run.attn_bwd_tiled_s, bwd_naive_s, run.attn_bwd_speedup
             ),
         ]);
+        rows.push(vec![
+            format!("[{}] bias_gelu fwd+bwd vs scalar", run.backend),
+            format!("{:.4} s vs {:.4} s ({:.2}x)", run.gelu_s, gelu_scalar_s, run.gelu_speedup),
+        ]);
     }
     rows.push(vec![
         format!("gates on [{}]", gating.name()),
         format!(
             "SGEMM {:.2}x (need >= {:.1}x), attention {:.2}x (need >= {:.2}x), \
-             backward {:.2}x (need >= {:.1}x); CRC-32 {:.2}x (need >= {:.1}x)",
+             backward {:.2}x (need >= {:.1}x), bias+GELU {:.2}x (need >= {:.1}x); \
+             CRC-32 {:.2}x (need >= {:.1}x)",
             best.gemm_speedup,
             MIN_GEMM_SPEEDUP,
             best.attn_speedup,
             MIN_ATTN_SPEEDUP,
             best.attn_bwd_speedup,
             MIN_ATTN_BWD_SPEEDUP,
+            best.gelu_speedup,
+            MIN_GELU_SPEEDUP,
             crc_speedup,
             MIN_CRC32_SPEEDUP
         ),
@@ -568,6 +646,11 @@ fn main() {
             attn_bwd_tiled_s: best.attn_bwd_tiled_s,
             attn_bwd_speedup: best.attn_bwd_speedup,
             min_attn_bwd_speedup: MIN_ATTN_BWD_SPEEDUP,
+            gelu_shape: [GELU_ROWS, GELU_D],
+            gelu_scalar_s,
+            gelu_s: best.gelu_s,
+            gelu_speedup: best.gelu_speedup,
+            min_gelu_speedup: MIN_GELU_SPEEDUP,
             crc32_bytes: CRC_BYTES,
             crc32_mb_per_s: mb_per_s(crc_s),
             crc32_bytewise_mb_per_s: mb_per_s(crc_bytewise_s),
@@ -606,6 +689,15 @@ fn main() {
         bwd_naive_s
     );
     assert!(
+        best.gelu_speedup >= MIN_GELU_SPEEDUP,
+        "bias+GELU speedup {:.2}x below the {:.1}x gate on backend {} ({:.4} s vs {:.4} s)",
+        best.gelu_speedup,
+        MIN_GELU_SPEEDUP,
+        gating.name(),
+        best.gelu_s,
+        gelu_scalar_s
+    );
+    assert!(
         crc_speedup >= MIN_CRC32_SPEEDUP,
         "CRC-32 slice-by-16 speedup {:.2}x below the {:.1}x gate ({:.0} vs {:.0} MB/s)",
         crc_speedup,
@@ -615,11 +707,12 @@ fn main() {
     );
     println!(
         "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x, \
-         attention backward {:.2}x; CRC-32 {:.2}x",
+         attention backward {:.2}x, bias+GELU {:.2}x; CRC-32 {:.2}x",
         gating.name(),
         best.gemm_speedup,
         best.attn_speedup,
         best.attn_bwd_speedup,
+        best.gelu_speedup,
         crc_speedup
     );
 }

@@ -37,9 +37,10 @@ impl Linear {
     }
 
     /// Applies the layer followed by GELU as one fused `gelu(xW + b)` node
-    /// (bias-add and activation share a single output buffer; the row loop
-    /// routes through the selected SIMD backend and, by contract, matches
-    /// the unfused `badd` then `gelu` pair bit for bit on every backend).
+    /// (bias-add and activation share a single output buffer; the row loop,
+    /// forward and backward, routes through the selected SIMD backend and,
+    /// by contract, stays within a stated tolerance of the libm `tanh`
+    /// form — see [`apf_tensor::kernels::backend::MicroKernelBackend::bias_gelu_row`]).
     pub fn forward_bias_gelu(&self, g: &mut Graph, bp: &BoundParams, x: Var) -> Var {
         let y = g.matmul(x, bp.var(self.w));
         g.bias_gelu(y, bp.var(self.b))

@@ -50,8 +50,6 @@ pub enum Op {
     AddScalar(Var, f32),
     /// Elementwise `max(a, 0)`.
     Relu(Var),
-    /// Gaussian Error Linear Unit (tanh approximation).
-    Gelu(Var),
     /// Elementwise logistic sigmoid.
     Sigmoid(Var),
     /// Elementwise hyperbolic tangent.

@@ -8,7 +8,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::kernels::attention;
 use crate::kernels::conv::{self, ConvGeom};
-use crate::kernels::fused::{self, gelu_fwd, gelu_grad};
+use crate::kernels::fused;
 use crate::kernels::gemm;
 use crate::kernels::pool;
 use crate::shape::Shape;
@@ -100,13 +100,6 @@ impl Graph {
         let v = self.value(a).map(|x| x.max(0.0));
         let rg = self.rg(a);
         self.push(v, Op::Relu(a), rg, Aux::None)
-    }
-
-    /// GELU with the tanh approximation.
-    pub fn gelu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(gelu_fwd);
-        let rg = self.rg(a);
-        self.push(v, Op::Gelu(a), rg, Aux::None)
     }
 
     /// Logistic sigmoid.
@@ -567,10 +560,6 @@ impl Graph {
             Op::AddScalar(a, _) => vec![(*a, g.clone())],
             Op::Relu(a) => {
                 let gx = g.zip_with(self.value(*a), |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                vec![(*a, gx)]
-            }
-            Op::Gelu(a) => {
-                let gx = g.zip_with(self.value(*a), |gi, xi| gi * gelu_grad(xi));
                 vec![(*a, gx)]
             }
             Op::Sigmoid(a) => {

@@ -10,6 +10,13 @@
 //! affine loop deliberately does **not** use FMA so it stays bit-identical
 //! to the scalar reference, as the trait requires.
 //!
+//! The softmax `exp` row and the bias+GELU rows are tolerance-contracted
+//! and share one polynomial, `exp8`. GELU uses the identity
+//! `0.5·(1 + tanh u) = 1/(1 + e^(−2u))`, so it needs no vector `tanh`.
+//! The GELU rows run their ragged tail through the same vector code,
+//! padded into a stack vector. Each output is therefore a pure function
+//! of its own inputs, whatever its column or the row width.
+//!
 //! # Safety
 //!
 //! The two invariants that make this module sound (see the module docs on
@@ -27,6 +34,13 @@ use core::arch::x86_64::*;
 
 use super::scalar::{exp_or_zero, EXP_UNDERFLOW};
 use super::{BackendKind, MicroKernelBackend};
+use crate::kernels::fused::{GELU_C, SQRT_2_OVER_PI};
+
+/// Where `z = −2u` exceeds this, the GELU sigmoid `s = 1/(1 + e^z)` flushes
+/// to `+0.0`. Below it `s >= e^−87 ≈ 1.6e−38`, still above
+/// `f32::MIN_POSITIVE`, so `s` and `s·(1 − s)` are never subnormal.
+/// (`exp8`'s own upper clamp, 88.72, would let `s` reach ~2.9e−39.)
+const SIGMOID_FLUSH: f32 = 87.0;
 
 /// The AVX2+FMA backend. Zero-sized; constructed only by the dispatch
 /// layer after feature detection.
@@ -83,6 +97,26 @@ impl MicroKernelBackend for Avx2Backend {
                 mean,
                 inv,
             )
+        }
+    }
+
+    fn bias_gelu_row(&self, x: &[f32], bias: &[f32], out: &mut [f32]) {
+        assert!(
+            x.len() == out.len() && bias.len() == out.len(),
+            "bias_gelu_row: length mismatch"
+        );
+        // SAFETY: avx2+fma detected; all three slices asserted equal-length.
+        unsafe { bias_gelu_row(x.as_ptr(), bias.as_ptr(), out.as_mut_ptr(), out.len()) }
+    }
+
+    fn bias_gelu_grad_row(&self, x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
+        assert!(
+            x.len() == gx.len() && bias.len() == gx.len() && g.len() == gx.len(),
+            "bias_gelu_grad_row: length mismatch"
+        );
+        // SAFETY: avx2+fma detected; all four slices asserted equal-length.
+        unsafe {
+            bias_gelu_grad_row(x.as_ptr(), bias.as_ptr(), g.as_ptr(), gx.as_mut_ptr(), gx.len())
         }
     }
 
@@ -232,6 +266,101 @@ unsafe fn softmax_exp_row(s: *mut f32, len: usize, m: f32) -> f32 {
         i += 1;
     }
     sum
+}
+
+/// Loads lanes `0..n` (`1 <= n <= 8`) from `p` and zeroes the rest, so a
+/// ragged tail runs through the same vector code as a full vector.
+#[target_feature(enable = "avx2")]
+unsafe fn load_lanes(p: *const f32, n: usize) -> __m256 {
+    if n == 8 {
+        _mm256_loadu_ps(p)
+    } else {
+        let mut buf = [0.0f32; 8];
+        std::ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), n);
+        _mm256_loadu_ps(buf.as_ptr())
+    }
+}
+
+/// Stores lanes `0..n` (`1 <= n <= 8`) of `v` to `p`.
+#[target_feature(enable = "avx2")]
+unsafe fn store_lanes(p: *mut f32, n: usize, v: __m256) {
+    if n == 8 {
+        _mm256_storeu_ps(p, v);
+    } else {
+        let mut buf = [0.0f32; 8];
+        _mm256_storeu_ps(buf.as_mut_ptr(), v);
+        std::ptr::copy_nonoverlapping(buf.as_ptr(), p, n);
+    }
+}
+
+/// Zeroes the subnormal lanes of `y`, keeping their sign.
+#[target_feature(enable = "avx2")]
+unsafe fn flush_subnormal8(y: __m256) -> __m256 {
+    let mag = _mm256_andnot_ps(_mm256_set1_ps(-0.0), y);
+    let tiny = _mm256_cmp_ps::<_CMP_LT_OQ>(mag, _mm256_set1_ps(f32::MIN_POSITIVE));
+    _mm256_xor_ps(y, _mm256_and_ps(tiny, mag))
+}
+
+/// The GELU sigmoid at `v`: `(s, q)` with `s = 0.5·(1 + tanh u) =
+/// 1/(1 + e^(−2u))`, `u = √(2/π)·(v + 0.044715·v³)`, and `q = s·(1 − s)`,
+/// computed as `s·(e·s)` so it does not cancel where `s` nears 1. Both
+/// flush to `+0.0` above [`SIGMOID_FLUSH`]. The clamp before `exp8` keeps
+/// the flushed lanes' intermediates normal too: unclamped, `s` would turn
+/// subnormal, and then `e·s` would be `inf·0`. A NaN `v` yields a finite
+/// `(s, q)`; the callers' products with `v` carry the NaN.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn gelu_sigmoid8(v: __m256) -> (__m256, __m256) {
+    let one = _mm256_set1_ps(1.0);
+    let limit = _mm256_set1_ps(SIGMOID_FLUSH);
+    let v2 = _mm256_mul_ps(v, v);
+    let inner = _mm256_fmadd_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_C), v2), v, v);
+    let z = _mm256_mul_ps(_mm256_set1_ps(-2.0 * SQRT_2_OVER_PI), inner);
+    let flush = _mm256_cmp_ps::<_CMP_GT_OQ>(z, limit);
+    // `min` returns its second operand for a NaN `z`.
+    let e = exp8(_mm256_min_ps(z, limit));
+    let s = _mm256_div_ps(one, _mm256_add_ps(one, e));
+    let q = _mm256_mul_ps(s, _mm256_mul_ps(e, s));
+    (_mm256_andnot_ps(flush, s), _mm256_andnot_ps(flush, q))
+}
+
+/// `out[i] = gelu(x[i] + bias[i])` as `v·s` over `len` elements.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn bias_gelu_row(x: *const f32, bias: *const f32, out: *mut f32, len: usize) {
+    let mut i = 0;
+    while i < len {
+        let n = (len - i).min(8);
+        let v = _mm256_add_ps(load_lanes(x.add(i), n), load_lanes(bias.add(i), n));
+        let (s, _) = gelu_sigmoid8(v);
+        store_lanes(out.add(i), n, flush_subnormal8(_mm256_mul_ps(v, s)));
+        i += 8;
+    }
+}
+
+/// `gx[i] = g[i]·(s + v·q·2c₀·(1 + 3c₁v²))` over `len` elements: the
+/// exact derivative of `v·s`. The factor `(3c₁·v)·v` is rounded in the
+/// scalar reference's order, so it overflows (and the lane turns NaN)
+/// exactly where the reference's does.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn bias_gelu_grad_row(
+    x: *const f32,
+    bias: *const f32,
+    g: *const f32,
+    gx: *mut f32,
+    len: usize,
+) {
+    let one = _mm256_set1_ps(1.0);
+    let mut i = 0;
+    while i < len {
+        let n = (len - i).min(8);
+        let v = _mm256_add_ps(load_lanes(x.add(i), n), load_lanes(bias.add(i), n));
+        let (s, q) = gelu_sigmoid8(v);
+        let p = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(3.0 * GELU_C), v), v);
+        let a = _mm256_mul_ps(_mm256_mul_ps(v, q), _mm256_set1_ps(2.0 * SQRT_2_OVER_PI));
+        let d = _mm256_fmadd_ps(a, _mm256_add_ps(one, p), s);
+        let grad = _mm256_mul_ps(load_lanes(g.add(i), n), d);
+        store_lanes(gx.add(i), n, flush_subnormal8(grad));
+        i += 8;
+    }
 }
 
 /// Vectorized layernorm affine: `(v - mean) * inv * gamma + beta` with the

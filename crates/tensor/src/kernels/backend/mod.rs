@@ -83,11 +83,15 @@ pub const MAX_MR: usize = 16;
 ///   left-to-right sum); backends may fuse multiply and add (FMA), so
 ///   results can differ from the scalar reference by rounding only —
 ///   covered by the kernel-oracle `1e-5` relative bound.
-/// - [`ln_affine_row`](Self::ln_affine_row) and
-///   [`bias_gelu_row`](Self::bias_gelu_row) must be **bit-identical** to
+/// - [`ln_affine_row`](Self::ln_affine_row) must be **bit-identical** to
 ///   the scalar reference (the oracle asserts exact bits): vectorized
 ///   overrides must use the same correctly-rounded op sequence per element
 ///   and must not contract to FMA.
+/// - [`softmax_exp_row`](Self::softmax_exp_row),
+///   [`bias_gelu_row`](Self::bias_gelu_row) and
+///   [`bias_gelu_grad_row`](Self::bias_gelu_grad_row) are
+///   **tolerance-contracted**: overrides may approximate the scalar libm
+///   form within the bound stated on each method.
 pub trait MicroKernelBackend: Sync {
     /// Which [`BackendKind`] this implementation belongs to.
     fn kind(&self) -> BackendKind;
@@ -136,14 +140,36 @@ pub trait MicroKernelBackend: Sync {
         scalar::ln_affine_row_scalar(row, mean, inv, gamma, beta, out);
     }
 
-    /// Fused bias+GELU inner loop: `out[i] = gelu(x[i] + bias[i])`,
-    /// bit-identical to the scalar reference. The default stays scalar
-    /// because `tanh` has no bit-compatible vector form; overrides may
-    /// only vectorize if they preserve exact bits.
+    /// Fused bias+GELU inner loop: `out[i] = gelu(x[i] + bias[i])`.
+    ///
+    /// **Tolerance-contracted**: with `v = x[i] + bias[i]`, overrides may
+    /// differ from the scalar libm form by `|Δ| <= 1e-6 * max(1, |v|)`.
+    /// Required semantics regardless of approximation:
+    ///
+    /// - an output is non-finite exactly where the scalar reference's is;
+    /// - no output is ever subnormal (would-be subnormal results flush to
+    ///   zero, on the scalar reference too);
+    /// - each output is a pure function of its own `(x[i], bias[i])` on a
+    ///   given backend — never of its position or the row length — so a
+    ///   batched forward stays bit-identical to a solo one.
     ///
     /// Contract: `x`, `bias`, `out` all have equal lengths.
     fn bias_gelu_row(&self, x: &[f32], bias: &[f32], out: &mut [f32]) {
         scalar::bias_gelu_row_scalar(x, bias, out);
+    }
+
+    /// Fused bias+GELU backward inner loop: `gx[i] = g[i] *
+    /// gelu'(x[i] + bias[i])`.
+    ///
+    /// Tolerance-contracted like [`bias_gelu_row`](Self::bias_gelu_row),
+    /// with the bound `|Δ| <= 1e-5 * |g[i]|` (plus `f32::MIN_POSITIVE`
+    /// where a subnormal result flushed) and the same non-finite,
+    /// subnormal and purity semantics (each output a pure function of its
+    /// own `(x[i], bias[i], g[i])`).
+    ///
+    /// Contract: `x`, `bias`, `g`, `gx` all have equal lengths.
+    fn bias_gelu_grad_row(&self, x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
+        scalar::bias_gelu_grad_row_scalar(x, bias, g, gx);
     }
 
     /// Softmax exponentiation row: `s[j] = exp(s[j] - m)` in place,
@@ -151,8 +177,8 @@ pub trait MicroKernelBackend: Sync {
     /// online softmax — at serving scale it runs once per score element,
     /// which makes scalar `exp` the dominant cost of fused attention.
     ///
-    /// Unlike the bit-exact fusions above, this method is
-    /// **tolerance-contracted** (like the mini-GEMMs): overrides may use a
+    /// Like the bias+GELU rows, this method is **tolerance-contracted**
+    /// (as are the mini-GEMMs): overrides may use a
     /// polynomial `exp` approximation with relative error within a few
     /// ulp (well inside the oracle's `1e-5` attention bound) and may
     /// reassociate the sum. Required semantics regardless of

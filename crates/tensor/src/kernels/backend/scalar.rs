@@ -3,9 +3,9 @@
 //! Every loop here reproduces the pre-backend kernel loops *exactly* (same
 //! iteration order, same op sequence), so results are bit-identical to
 //! what the repository shipped before explicit SIMD existed — except that
-//! the softmax `exp` row flushes would-be subnormal results to zero — and
-//! every other backend is differential-tested against this one. No
-//! `unsafe` anywhere in this module.
+//! the softmax `exp` row and the bias+GELU rows flush would-be subnormal
+//! results to zero — and every other backend is differential-tested
+//! against this one. No `unsafe` anywhere in this module.
 //!
 //! The inner loops have constant trip counts (8-wide lanes), so LLVM still
 //! auto-vectorizes them at whatever width the build's baseline target
@@ -13,7 +13,7 @@
 //! instructions.
 
 use super::{BackendKind, MicroKernelBackend};
-use crate::kernels::fused::gelu_fwd;
+use crate::kernels::fused::{gelu_fwd, gelu_grad};
 
 /// The scalar reference backend (always available).
 pub(crate) struct ScalarBackend;
@@ -54,15 +54,36 @@ pub(crate) fn ln_affine_row_scalar(
     }
 }
 
-/// `out[i] = gelu(x[i] + bias[i])` — the fused bias+GELU inner loop every
-/// backend must match bit-for-bit.
+/// `v`, or a zero of `v`'s sign where `v` is subnormal.
+fn flush_subnormal(v: f32) -> f32 {
+    if v.is_subnormal() {
+        0.0f32.copysign(v)
+    } else {
+        v
+    }
+}
+
+/// `out[i] = gelu(x[i] + bias[i])` with libm `tanh` — the fused bias+GELU
+/// inner loop the other backends are held to within tolerance.
 pub(crate) fn bias_gelu_row_scalar(x: &[f32], bias: &[f32], out: &mut [f32]) {
     assert!(
         x.len() == out.len() && bias.len() == out.len(),
         "bias_gelu_row: length mismatch"
     );
     for ((o, &xv), &bv) in out.iter_mut().zip(x.iter()).zip(bias.iter()) {
-        *o = gelu_fwd(xv + bv);
+        *o = flush_subnormal(gelu_fwd(xv + bv));
+    }
+}
+
+/// `gx[i] = g[i] * gelu'(x[i] + bias[i])` with libm `tanh` — the
+/// reference form of the bias+GELU backward row.
+pub(crate) fn bias_gelu_grad_row_scalar(x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
+    assert!(
+        x.len() == gx.len() && bias.len() == gx.len() && g.len() == gx.len(),
+        "bias_gelu_grad_row: length mismatch"
+    );
+    for (((o, &xv), &bv), &gv) in gx.iter_mut().zip(x.iter()).zip(bias.iter()).zip(g.iter()) {
+        *o = flush_subnormal(gv * gelu_grad(xv + bv));
     }
 }
 

@@ -3,19 +3,28 @@
 //! These exist to kill intermediate-allocation churn in the model layers:
 //! `bias_gelu` replaces a broadcast-add tensor **plus** a GELU tensor with
 //! one output buffer, and `layernorm_forward` normalizes rows without the
-//! per-call `gamma`/`beta` copies the original graph op made. Both fuse
-//! *traversals*, not arithmetic: every scalar operation and its ordering
-//! is identical to the unfused form, so outputs are **bit-identical** to
-//! the naive references (the oracle asserts exact equality, not a
-//! tolerance).
+//! per-call `gamma`/`beta` copies the original graph op made.
 //!
-//! The bit-exactness contract extends through the [`super::backend`]
-//! layer: the layernorm affine loop and the bias+GELU loop route through
-//! [`super::backend::MicroKernelBackend::ln_affine_row`] /
-//! [`super::backend::MicroKernelBackend::bias_gelu_row`], whose trait contract forbids
-//! FMA contraction or reordering — a vectorized override must produce the
-//! exact scalar bits. The mean/variance reductions stay in scalar
-//! summation order here, outside the backend, for the same reason.
+//! The two fusions carry different numeric contracts through the
+//! [`super::backend`] layer:
+//!
+//! - **Layernorm** fuses *traversals*, not arithmetic: every scalar
+//!   operation and its ordering is identical to [`layernorm_naive`], so the
+//!   outputs are **bit-identical** (the oracle asserts exact equality). The
+//!   affine loop routes through
+//!   [`super::backend::MicroKernelBackend::ln_affine_row`], whose contract
+//!   forbids FMA contraction or reordering; the mean/variance reductions
+//!   stay in scalar summation order here, outside the backend.
+//! - **Bias+GELU**, forward and backward, routes through
+//!   [`super::backend::MicroKernelBackend::bias_gelu_row`] /
+//!   [`super::backend::MicroKernelBackend::bias_gelu_grad_row`], which are
+//!   **tolerance-contracted** against the libm form of [`gelu_fwd`] /
+//!   [`gelu_grad`]: a vector backend evaluates `tanh` through its own `exp`
+//!   (`|Δ| <= 1e-6·max(1, |x+b|)` forward, `|Δ| <= 1e-5·|g|` backward). The
+//!   scalar backend is the libm form itself, bit for bit, apart from
+//!   flushing subnormal results to zero. Each output is a pure function of
+//!   its own inputs on a given backend, so batched and solo runs agree bit
+//!   for bit.
 
 use rayon::prelude::*;
 
@@ -71,14 +80,10 @@ pub fn bias_gelu_backward(x: &[f32], bias: &[f32], g: &[f32], gx: &mut [f32]) {
     }
     let tile = bias.len();
     assert!(tile > 0 && x.len().is_multiple_of(tile), "bias_gelu: bias must tile x");
+    let bk = backend::active();
     gx.par_chunks_mut(tile).enumerate().for_each(|(r, grow)| {
-        let xrow = &x[r * tile..(r + 1) * tile];
-        let gsrc = &g[r * tile..(r + 1) * tile];
-        for (((o, &xv), &bv), &gv) in
-            grow.iter_mut().zip(xrow.iter()).zip(bias.iter()).zip(gsrc.iter())
-        {
-            *o = gv * gelu_grad(xv + bv);
-        }
+        let span = r * tile..(r + 1) * tile;
+        bk.bias_gelu_grad_row(&x[span.clone()], bias, &g[span], grow);
     });
 }
 
@@ -181,15 +186,26 @@ mod tests {
     use super::*;
     use crate::tensor::Tensor;
 
+    /// On the scalar backend the fused kernels are the libm forms bit for
+    /// bit. Runs the rows on the scalar backend directly: forcing the
+    /// process-wide dispatch would race the other unit tests.
     #[test]
     fn bias_gelu_matches_unfused_bitwise() {
         let x = Tensor::rand_uniform([5, 7], -3.0, 3.0, 31).to_vec();
         let b = Tensor::rand_uniform([7], -1.0, 1.0, 32).to_vec();
-        let mut fused = vec![0.0f32; x.len()];
-        bias_gelu_forward(&x, &b, &mut fused);
-        for (i, (&xv, &f)) in x.iter().zip(fused.iter()).enumerate() {
-            let unfused = gelu_fwd(xv + b[i % 7]);
-            assert_eq!(unfused.to_bits(), f.to_bits(), "elem {}", i);
+        let g = Tensor::rand_uniform([5, 7], -2.0, 2.0, 33).to_vec();
+        let bk = backend::BackendKind::Scalar.instance().expect("scalar is always available");
+        let (mut fused, mut fused_grad) = (vec![0.0f32; 7], vec![0.0f32; 7]);
+        for r in 0..5 {
+            let span = r * 7..(r + 1) * 7;
+            bk.bias_gelu_row(&x[span.clone()], &b, &mut fused);
+            bk.bias_gelu_grad_row(&x[span.clone()], &b, &g[span.clone()], &mut fused_grad);
+            for c in 0..7 {
+                let (xv, gv) = (x[r * 7 + c], g[r * 7 + c]);
+                assert_eq!(gelu_fwd(xv + b[c]).to_bits(), fused[c].to_bits(), "elem {r},{c}");
+                let grad = gv * gelu_grad(xv + b[c]);
+                assert_eq!(grad.to_bits(), fused_grad[c].to_bits(), "grad elem {r},{c}");
+            }
         }
     }
 

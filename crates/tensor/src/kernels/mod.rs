@@ -23,8 +23,11 @@
 //! elementwise within `REL_TOL * |a|·|b| + ABS_TOL` where `|a|·|b|` is the
 //! same product computed over absolute values — a bound that scales with
 //! the condition of the dot product rather than its (possibly cancelled)
-//! value. Kernels that do *not* reassociate (bias+GELU, layernorm) must
-//! match bit-for-bit on every backend.
+//! value. Layernorm does *not* reassociate and must match bit-for-bit on
+//! every backend. Bias+GELU may evaluate `tanh` through a vector `exp`:
+//! with `v = x + b` it is held within `1e-6·max(1, |v|)` of libm forward
+//! and `1e-5·|g|` backward, with no subnormal output and each output a
+//! pure function of its own inputs (see [`fused`]).
 
 pub mod attention;
 pub mod backend;

@@ -129,14 +129,13 @@ fn grad_scale_add_scalar() {
 fn grad_activations() {
     // Offset away from relu's kink at 0 for stable finite differences.
     let x = Tensor::rand_uniform([6], 0.1, 1.0, 18);
-    for act in 0..5 {
+    for act in 0..4 {
         check_gradient(&x, tol(), |g, t| {
             let a = g.leaf(t);
             let y = match act {
                 0 => g.relu(a),
-                1 => g.gelu(a),
-                2 => g.sigmoid(a),
-                3 => g.tanh(a),
+                1 => g.sigmoid(a),
+                2 => g.tanh(a),
                 _ => g.exp(a),
             };
             let l = g.sum_all(y);
@@ -598,12 +597,14 @@ fn grad_fused_attention_short_query_prefix() {
     }
 }
 
+/// d = 11 is one full 8-lane vector plus a ragged tail, so both the
+/// vector body and the padded tail of a SIMD backend are checked.
 #[test]
 fn grad_bias_gelu_x() {
-    let x = Tensor::rand_uniform([2, 4, 3], -2.0, 2.0, 95);
+    let x = Tensor::rand_uniform([2, 4, 11], -6.0, 6.0, 95);
     check_gradient(&x, Tolerance::default(), |g, t| {
         let a = g.leaf(t);
-        let b = g.constant(Tensor::rand_uniform([3], -1.0, 1.0, 96));
+        let b = g.constant(Tensor::rand_uniform([11], -1.0, 1.0, 96));
         let y = g.bias_gelu(a, b);
         let sq = g.mul(y, y);
         let l = g.mean_all(sq);
@@ -613,9 +614,9 @@ fn grad_bias_gelu_x() {
 
 #[test]
 fn grad_bias_gelu_bias() {
-    let x = Tensor::rand_uniform([3], -1.0, 1.0, 97);
+    let x = Tensor::rand_uniform([11], -1.0, 1.0, 97);
     check_gradient(&x, Tolerance::default(), |g, t| {
-        let a = g.constant(Tensor::rand_uniform([2, 4, 3], -2.0, 2.0, 98));
+        let a = g.constant(Tensor::rand_uniform([2, 4, 11], -6.0, 6.0, 98));
         let b = g.leaf(t);
         let y = g.bias_gelu(a, b);
         let sq = g.mul(y, y);

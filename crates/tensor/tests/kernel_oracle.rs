@@ -21,9 +21,17 @@
 //! - **im2col conv** vs the direct quadruple loop: same contraction-shaped
 //!   bound as SGEMM, with the magnitude scale computed by running the
 //!   direct conv over absolute values.
-//! - **Fused bias+GELU and layernorm** fuse traversals, not arithmetic:
-//!   the oracle demands **bit-identical** outputs on *every* backend (the
-//!   trait contract forbids FMA in these loops).
+//! - **Fused layernorm** fuses traversals, not arithmetic: the oracle
+//!   demands **bit-identical** outputs on *every* backend (the trait
+//!   contract forbids FMA in its affine loop).
+//! - **Fused bias+GELU** is tolerance-contracted: a vector backend
+//!   evaluates `tanh` through its own `exp`. With `v = x + b`, the forward
+//!   must stay within `1e-6·max(1, |v|)` of libm `gelu_fwd(v)` and the
+//!   backward within `1e-5·|g|` of `g·gelu_grad(v)`, each plus
+//!   `f32::MIN_POSITIVE` for the flush of subnormal results. No output
+//!   may be subnormal, and each output must be a pure function of its
+//!   own `(x, b, g)`: the same values at another column or in a row of
+//!   another width give the same bits.
 //! - Non-finite values must never be silently laundered: wherever the naive
 //!   kernel produces NaN/inf, the fast kernel must produce a non-finite
 //!   value too (and vice versa).
@@ -35,7 +43,8 @@ use apf_tensor::kernels::attention::{
 use apf_tensor::kernels::backend::{force_backend, kernel_backend, BackendKind};
 use apf_tensor::kernels::conv::{conv2d, conv2d_direct, ConvGeom};
 use apf_tensor::kernels::fused::{
-    bias_gelu_forward, gelu_fwd, layernorm_forward, layernorm_naive,
+    bias_gelu_backward, bias_gelu_forward, gelu_fwd, gelu_grad, layernorm_forward,
+    layernorm_naive,
 };
 use apf_tensor::kernels::gemm::{gemm, gemm_naive, gemm_packed};
 use apf_tensor::prelude::*;
@@ -289,17 +298,105 @@ fn check_masked_keys_are_inert(bh: usize, l: usize, dh: usize, seed: u64) {
     assert!(dv.iter().any(|&g| g != 0.0) && dk.iter().any(|&g| g != 0.0));
 }
 
-/// Fused bias+GELU must match the unfused scalar form bit-for-bit.
-fn check_bias_gelu_bits(rows: usize, d: usize, seed: u64) {
-    let mut x = Tensor::rand_uniform([rows, d], -4.0, 4.0, seed).to_vec();
+/// Sprinkles the values bias+GELU must handle beyond `inject_specials`
+/// into `data`, replacing roughly one element in eight: NaN, ±inf, the
+/// saturation band `|v| in [8, 1e4]`, where libm `tanh` rounds to ±1, and
+/// ±3e19, where `v·v` overflows but the reference's `(3c₁·v)·v` does not.
+fn inject_gelu_specials(data: &mut [f32], seed: u64) {
+    let mut state = seed | 1;
+    for v in data.iter_mut() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        if state.is_multiple_of(8) {
+            // Log-uniform magnitude over [8, 1e4], random sign.
+            let t = ((state >> 16) % 1024) as f32 / 1023.0;
+            let band = 8.0f32 * 1250.0f32.powf(t);
+            let sign = if (state >> 40) & 1 == 0 { 1.0 } else { -1.0 };
+            *v = match (state >> 8) % 6 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => sign * 3e19,
+                _ => sign * band,
+            };
+        }
+    }
+}
+
+/// One bias+GELU output against its libm reference: within `tol` (plus
+/// `f32::MIN_POSITIVE` for a flushed subnormal), non-finite exactly where
+/// the reference is, and never subnormal.
+fn assert_gelu_close(what: &str, i: usize, fast: f32, reference: f32, tol: f32) {
+    let name = kernel_backend().map_or("?", |k| k.name());
+    assert!(!fast.is_subnormal(), "[{name}] {what} elem {i}: subnormal output {fast:e}");
+    if !reference.is_finite() || !fast.is_finite() {
+        assert!(
+            !reference.is_finite() && !fast.is_finite(),
+            "[{name}] {what} elem {i}: finiteness mismatch (fast {fast}, reference {reference})"
+        );
+        return;
+    }
+    assert!(
+        (fast - reference).abs() <= tol + f32::MIN_POSITIVE,
+        "[{name}] {what} elem {i}: fast {fast:e} vs reference {reference:e} (tol {tol:e})"
+    );
+}
+
+/// Fused bias+GELU, forward and backward, against the libm forms within
+/// the tolerance contract, over unit-range values, signed zeros and
+/// denormals, non-finite values and the saturation band.
+fn check_bias_gelu_close(rows: usize, d: usize, seed: u64) {
+    let mut x = Tensor::rand_uniform([rows, d], -6.0, 6.0, seed).to_vec();
     let mut b = Tensor::rand_uniform([d], -1.0, 1.0, seed ^ 7).to_vec();
+    let mut g = Tensor::rand_uniform([rows, d], -2.0, 2.0, seed ^ 8).to_vec();
     inject_specials(&mut x, seed ^ 0x11);
     inject_specials(&mut b, seed ^ 0x22);
-    let mut fused = vec![0.0f32; rows * d];
-    bias_gelu_forward(&x, &b, &mut fused);
-    for (i, &f) in fused.iter().enumerate() {
-        let reference = gelu_fwd(x[i] + b[i % d]);
-        assert_eq!(reference.to_bits(), f.to_bits(), "elem {}", i);
+    inject_specials(&mut g, seed ^ 0x44);
+    inject_gelu_specials(&mut x, seed ^ 0x55);
+    inject_gelu_specials(&mut b, seed ^ 0x66);
+    inject_gelu_specials(&mut g, seed ^ 0x77);
+    let mut out = vec![f32::NAN; rows * d];
+    let mut gx = vec![f32::NAN; rows * d];
+    bias_gelu_forward(&x, &b, &mut out);
+    bias_gelu_backward(&x, &b, &g, &mut gx);
+    for i in 0..rows * d {
+        let v = x[i] + b[i % d];
+        assert_gelu_close("forward", i, out[i], gelu_fwd(v), 1e-6 * v.abs().max(1.0));
+        assert_gelu_close("backward", i, gx[i], g[i] * gelu_grad(v), 1e-5 * g[i].abs());
+    }
+}
+
+/// The same `(x, b, g)` values at every column offset and in rows of many
+/// widths give the bits they give alone in a width-1 row.
+fn check_bias_gelu_position_independent(kind: BackendKind) {
+    let bk = kind.instance().expect("detected backend has an instance");
+    let n = 37;
+    let mut x = Tensor::rand_uniform([n], -6.0, 6.0, 71).to_vec();
+    let b = Tensor::rand_uniform([n], -1.0, 1.0, 72).to_vec();
+    let mut g = Tensor::rand_uniform([n], -2.0, 2.0, 73).to_vec();
+    inject_specials(&mut x, 74);
+    inject_gelu_specials(&mut x, 75);
+    inject_gelu_specials(&mut g, 76);
+    let (mut solo, mut solo_grad) = (vec![0.0f32; n], vec![0.0f32; n]);
+    for i in 0..n {
+        bk.bias_gelu_row(&x[i..=i], &b[i..=i], &mut solo[i..=i]);
+        bk.bias_gelu_grad_row(&x[i..=i], &b[i..=i], &g[i..=i], &mut solo_grad[i..=i]);
+    }
+    for width in (1..=24).chain([37, 256]) {
+        for shift in 0..9 {
+            let at = |c: usize| (c + shift) % n;
+            let pick = |src: &[f32]| (0..width).map(|c| src[at(c)]).collect::<Vec<f32>>();
+            let (xr, br, gr) = (pick(&x), pick(&b), pick(&g));
+            let (mut out, mut gx) = (vec![0.0f32; width], vec![0.0f32; width]);
+            bk.bias_gelu_row(&xr, &br, &mut out);
+            bk.bias_gelu_grad_row(&xr, &br, &gr, &mut gx);
+            for c in 0..width {
+                let what = format!("[{}] width {width} column {c}", kind.name());
+                assert_eq!(out[c].to_bits(), solo[at(c)].to_bits(), "{what}: forward");
+                assert_eq!(gx[c].to_bits(), solo_grad[at(c)].to_bits(), "{what}: backward");
+            }
+        }
     }
 }
 
@@ -495,8 +592,12 @@ proptest! {
     }
 
     #[test]
-    fn bias_gelu_is_bit_identical_to_unfused(rows in 1usize..12, d in 1usize..24, seed in 0u64..1_000_000) {
-        check_bias_gelu_bits(rows, d, seed);
+    fn bias_gelu_is_within_tolerance_of_libm(
+        rows in 1usize..12,
+        d in prop_oneof![1usize..24, Just(37usize), Just(256usize)],
+        seed in 0u64..1_000_000,
+    ) {
+        check_bias_gelu_close(rows, d, seed);
     }
 
     #[test]
@@ -639,9 +740,14 @@ fn per_backend_differential_matrix() {
         check_masked_keys_are_inert(2, 106, 16, 61);
         check_masked_keys_are_inert(1, 33, 8, 62);
 
-        // Traversal-only fusions: exact bits on every backend.
-        check_bias_gelu_bits(9, 13, 31);
-        check_bias_gelu_bits(3, 37, 32); // d > one vector width, ragged tail
+        // Bias+GELU: every ragged tail, several vectors plus a tail, and
+        // the MLP width.
+        for d in (1..24).chain([37, 256]) {
+            check_bias_gelu_close(3, d, 30 + d as u64);
+        }
+        check_bias_gelu_position_independent(kind);
+
+        // Traversal-only fusion: exact bits on every backend.
         check_layernorm_bits(9, 13, 33);
         check_layernorm_bits(4, 67, 34); // ragged tail after 8-wide lanes
 
