@@ -20,7 +20,9 @@
 //! | `ablation_droprate` | fixed-length L (pad vs drop) ablation |
 //!
 //! Infrastructure gates ride the same harness and are wired into
-//! `scripts/check.sh`: `serve_soak` (resilient serving), `telemetry_overhead`
+//! `scripts/check.sh`: `soak --scenario engine|wire|scale` (fault-soaked
+//! engine, faulted front door, >= 1e5 batched requests and the >= 2x
+//! batching gate; one [`SoakReport`] schema), `telemetry_overhead`
 //! (disabled hooks < 2%), `kernel_bench` (fast-path speedups), and
 //! `gigapixel_bench` (out-of-core 16K² slide segmented under 1/8 of its
 //! dense bytes, stitched output pinned to the full-image path at 1e-5).
@@ -34,4 +36,4 @@ pub mod harness;
 pub mod report;
 
 pub use args::Args;
-pub use report::{print_table, save_atomic, save_json};
+pub use report::{print_table, save_atomic, save_json, SoakReport};

@@ -2,7 +2,8 @@
 //!
 //! Every experiment prints an aligned text table (paper values next to
 //! measured values) and archives machine-readable rows under
-//! `results/<experiment>.json` for EXPERIMENTS.md.
+//! `results/<experiment>.json` for EXPERIMENTS.md. The soak scenarios share
+//! one schema, [`SoakReport`].
 
 use std::fs;
 use std::path::PathBuf;
@@ -80,6 +81,105 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     }
 }
 
+/// The one report schema of the `soak` scenarios, archived as
+/// `results/soak_<scenario>.json`:
+/// `{scenario, seed, params, verdicts: {name: bool}, counts: {name: number}, detail}`.
+///
+/// [`SoakReport::check`] records a verdict and asserts it in the same call,
+/// so each gated fact has one name: the one the process panics with and
+/// the one `scripts/check.sh` greps for as `"name": true`.
+pub struct SoakReport {
+    scenario: String,
+    seed: u64,
+    params: Vec<(String, f64)>,
+    verdicts: Vec<(String, bool)>,
+    counts: Vec<(String, f64)>,
+    /// Compact JSON per entry.
+    detail: Vec<(String, String)>,
+}
+
+impl SoakReport {
+    /// An empty report for `scenario`, run with `seed` and `params`.
+    pub fn new(scenario: &str, seed: u64, params: &[(&str, f64)]) -> Self {
+        SoakReport {
+            scenario: scenario.to_string(),
+            seed,
+            params: params.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            verdicts: Vec::new(),
+            counts: Vec::new(),
+            detail: Vec::new(),
+        }
+    }
+
+    /// Records verdict `name` and panics with `name` and `msg` when it is
+    /// false (the soak binary is the gate: any failed verdict fails the run).
+    pub fn check(&mut self, name: &str, ok: bool, msg: impl std::fmt::Display) {
+        self.verdicts.push((name.to_string(), ok));
+        assert!(ok, "soak {}: verdict `{name}` failed: {msg}", self.scenario);
+    }
+
+    /// Records a number under `counts`.
+    pub fn count(&mut self, name: &str, value: f64) {
+        self.counts.push((name.to_string(), value));
+    }
+
+    /// Records any serializable value under `detail`.
+    pub fn detail<T: serde::Serialize + ?Sized>(&mut self, name: &str, value: &T) {
+        let mut json = String::new();
+        value.serialize_json(&mut json);
+        self.detail.push((name.to_string(), json));
+    }
+
+    /// Prints the verdicts and counts, then archives the report as
+    /// `results/soak_<scenario>.json`.
+    pub fn finish(&self) {
+        let title = format!("soak {}", self.scenario);
+        let counts: Vec<Vec<String>> = self
+            .counts
+            .iter()
+            .map(|(k, v)| vec![k.clone(), ((v * 1e4).round() / 1e4).to_string()])
+            .collect();
+        print_table(&format!("{title} — counts"), &["count", "value"], &counts);
+        let verdicts: Vec<Vec<String>> =
+            self.verdicts.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect();
+        print_table(&format!("{title} — verdicts"), &["verdict", "held"], &verdicts);
+        save_json(&format!("soak_{}", self.scenario), self);
+        println!("{title}: all {} verdicts held", self.verdicts.len());
+    }
+}
+
+/// Appends `,"key":{"k":v,...}` with each value written by `write`.
+fn write_object<V>(
+    out: &mut String,
+    key: &str,
+    entries: &[(String, V)],
+    write: impl Fn(&V, &mut String),
+) {
+    out.push_str(&format!(",\"{key}\":{{"));
+    for (i, (k, v)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde::write_json_string(k, out);
+        out.push(':');
+        write(v, out);
+    }
+    out.push('}');
+}
+
+impl serde::Serialize for SoakReport {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"scenario\":");
+        serde::write_json_string(&self.scenario, out);
+        out.push_str(&format!(",\"seed\":{}", self.seed));
+        write_object(out, "params", &self.params, f64::serialize_json);
+        write_object(out, "verdicts", &self.verdicts, bool::serialize_json);
+        write_object(out, "counts", &self.counts, f64::serialize_json);
+        write_object(out, "detail", &self.detail, |json, out| out.push_str(json));
+        out.push('}');
+    }
+}
+
 /// Formats a float with `digits` decimals.
 pub fn f(x: f64, digits: usize) -> String {
     format!("{:.*}", digits, x)
@@ -124,6 +224,32 @@ mod tests {
         let p = results_dir().join("unit_test.json");
         assert!(p.exists());
         std::env::remove_var("APF_RESULTS_DIR");
+    }
+
+    #[test]
+    fn soak_report_gates_and_archives_every_verdict() {
+        let mut r = SoakReport::new("unit", 7, &[("steps", 40.0)]);
+        r.check("held", true, "unused");
+        r.count("drift", 0.0);
+        r.detail("list", &vec![1u8, 2]);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.check("broke", false, format_args!("{} lost", 3))
+        }))
+        .expect_err("a false verdict panics");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("`broke`") && msg.contains("3 lost"), "{msg}");
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        for needle in [
+            "\"scenario\": \"unit\"",
+            "\"seed\": 7",
+            "\"steps\": 40",
+            "\"held\": true",
+            "\"broke\": false",
+            "\"drift\": 0",
+            "\"list\": [",
+        ] {
+            assert!(json.contains(needle), "missing {needle} in {json}");
+        }
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl PatcherConfig {
         self.quadtree.criterion = SplitCriterion::EdgeCount { split_value: v };
         self
     }
-
-    /// Sets the quadtree depth limit `H`.
-    pub fn with_max_depth(mut self, h: u8) -> Self {
-        self.quadtree.max_depth = h;
-        self
-    }
 }
 
 /// Wall-clock breakdown of one pre-processing run (overhead experiment,

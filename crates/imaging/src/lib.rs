@@ -15,7 +15,6 @@
 //! Both are fully deterministic given a seed, so every experiment in the
 //! workspace is reproducible bit-for-bit.
 
-pub mod augment;
 pub mod btcv;
 pub mod canny;
 pub mod filter;
@@ -26,7 +25,6 @@ pub mod noise;
 pub mod paip;
 pub mod resize;
 
-pub use augment::{augment_pairs, Augmentation};
 pub use canny::{canny, CannyConfig};
 pub use filter::{gaussian_blur, sobel};
 pub use image::{GrayImage, ImageError};

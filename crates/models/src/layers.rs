@@ -241,11 +241,6 @@ impl BatchNorm2d {
         let y = g.badd(y, bt);
         g.reshape(y, [b, c, h, w])
     }
-
-    /// Current running `(mean, var)` estimates.
-    pub fn running_stats(&self) -> (Tensor, Tensor) {
-        self.running.borrow().clone()
-    }
 }
 
 /// `Conv -> BatchNorm -> ReLU`, the standard U-Net building block.

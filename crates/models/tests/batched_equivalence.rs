@@ -13,7 +13,9 @@ use apf_tensor::prelude::*;
 use proptest::prelude::*;
 
 const PATCH_DIM: usize = 16;
-const SEQ_LEN: usize = 12;
+/// Past `DEFAULT_Q_TILE` (32), so ragged batches span more than one
+/// attention query tile.
+const SEQ_LEN: usize = 64;
 
 fn model(seed: u64) -> ViTSegmenter {
     ViTSegmenter::new(ViTConfig::tiny(PATCH_DIM, SEQ_LEN), seed)
@@ -49,12 +51,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Ragged batches across every composition a tier-homogeneous batch can
-    /// produce (full budgets, reduced budgets, coarse stubs — any mix of
-    /// lengths 1..=L): each request's real output rows match its solo
-    /// forward within 1e-5.
+    /// produce (full budget 64, reduced 32, coarse stubs, or any length in
+    /// 1..=L): each request's real output rows match its solo forward
+    /// within 1e-5.
     #[test]
     fn padded_batch_matches_solo_forwards(
-        lengths in prop::collection::vec(1usize..=SEQ_LEN, 1..=5),
+        lengths in prop::collection::vec(
+            prop_oneof![
+                Just(SEQ_LEN),
+                Just(32usize),
+                Just(17usize),
+                Just(4usize),
+                Just(1usize),
+                1..=SEQ_LEN
+            ],
+            1..=8,
+        ),
         model_seed in 0u64..50,
         data_seed in 0u64..1000,
     ) {

@@ -394,14 +394,6 @@ impl Telemetry {
         }
     }
 
-    /// Flight events dropped by the ring bound so far.
-    pub fn flight_dropped(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.flight.dropped(),
-            None => 0,
-        }
-    }
-
     /// Dumps the flight-recorder window to `<dir>/flight_<label>.jsonl`
     /// (atomic temp + rename). `None` when disabled.
     pub fn dump_flight(

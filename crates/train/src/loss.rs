@@ -50,12 +50,6 @@ pub fn combo_loss(g: &mut Graph, logits: Var, targets: Var, cfg: ComboLossConfig
     g.add(wb, wd)
 }
 
-/// Multi-class segmentation loss: mean softmax cross-entropy over pixels.
-/// `logits` is `[.., C]` rows; `targets` one class per row.
-pub fn multiclass_ce(g: &mut Graph, logits: Var, targets: std::sync::Arc<Vec<u32>>) -> Var {
-    g.softmax_cross_entropy(logits, targets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

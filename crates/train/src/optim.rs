@@ -112,32 +112,14 @@ impl AdamW {
         self.lr_scale
     }
 
-    /// Sets the learning-rate scale (checkpoint restore).
-    pub fn set_lr_scale(&mut self, scale: f32) {
-        self.lr_scale = scale;
-    }
-
     /// Number of optimizer steps taken so far.
     pub fn step_count(&self) -> u64 {
         self.step
     }
 
-    /// Sets the step counter (checkpoint restore; drives bias correction).
-    pub fn set_step_count(&mut self, step: u64) {
-        self.step = step;
-    }
-
     /// Read access to the per-parameter `(m, v)` moment slots.
     pub fn moments(&self) -> &[Option<(Tensor, Tensor)>] {
         &self.state
-    }
-
-    /// Restores one parameter's moment slot (checkpoint restore).
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range for the optimizer's arity.
-    pub fn set_moment(&mut self, index: usize, m: Tensor, v: Tensor) {
-        self.state[index] = Some((m, v));
     }
 
     /// Packs the optimizer's state into a checkpointable [`TrainState`]:

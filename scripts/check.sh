@@ -20,83 +20,52 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> rustdoc gate (no broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> serve_soak resilience gate"
-# A failed soak must not leave yesterday's results lying around looking
-# fresh: clear the artifacts up front and require the binary (which writes
-# atomically via temp-file + rename) to have produced them again.
-rm -f results/serve_soak.json results/serve_soak_trace.jsonl results/serve_soak_metrics.prom
-cargo run --release -q -p apf-bench --bin serve_soak -- --steps 200 --seed 7
-for f in results/serve_soak.json results/serve_soak_trace.jsonl results/serve_soak_metrics.prom; do
+echo "==> soak gates (soak --scenario engine|wire|scale: faults, front door, >= 1e5 requests, >= 2x batching)"
+# Each scenario asserts its verdicts in-process and archives them in one
+# schema, results/soak_<scenario>.json: {scenario, seed, params,
+# verdicts: {name: bool}, counts, detail}. A failed soak must not leave
+# yesterday's results lying around looking fresh, so the artifacts are
+# cleared up front and must be written again (atomically: temp file +
+# rename). The verdicts are then re-checked by name, so a verdict the
+# binary silently drops or weakens still fails the gate.
+rm -f results/soak_*.json results/soak_*.jsonl results/soak_*.prom results/flight_*.jsonl
+verdicts() { # verdicts <scenario> <name>...: each must be archived as "name": true
+  local report="results/soak_$1.json"
+  shift
+  for v in "$@"; do
+    grep -q "\"$v\": true" "$report" || { echo "$report: verdict $v missing or false" >&2; exit 1; }
+  done
+}
+soak() { cargo run --release -q -p apf-bench --bin soak -- --scenario "$@"; }
+soak engine --steps 200 --seed 7
+soak wire --quick
+soak scale
+for f in results/soak_engine.json results/soak_engine_trace.jsonl results/soak_engine_metrics.prom \
+  results/soak_wire.json results/soak_wire_trace.json results/soak_wire_metrics.prom \
+  results/flight_panic_*.jsonl results/soak_scale.json; do
   test -s "$f" || { echo "missing soak artifact: $f" >&2; exit 1; }
 done
-
-echo "==> frontdoor_soak gate (wire protocol, quotas, mid-soak drain, tracing, flight recorder)"
-# The binary asserts every front-door invariant internally (any violation
-# panics), and the archived JSON is re-checked here so a regression that
-# silently weakens the binary's own asserts still fails the gate.
-rm -f results/frontdoor_soak.json results/frontdoor_soak_metrics.prom results/frontdoor_trace.json
-cargo run --release -q -p apf-bench --bin frontdoor_soak -- --quick
-for f in results/frontdoor_soak.json results/frontdoor_soak_metrics.prom results/frontdoor_trace.json; do
-  test -s "$f" || { echo "missing frontdoor artifact: $f" >&2; exit 1; }
-done
-grep -q '"untyped_client_failures": 0' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: untyped client failures" >&2; exit 1; }
-grep -q '"quota_drift": 0' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: quota accounting drifted" >&2; exit 1; }
-grep -q '"server_panics": 0' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: server panicked" >&2; exit 1; }
-grep -q '"drain_within_bound": true' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: drain exceeded its bound" >&2; exit 1; }
-grep -q 'apf_serve_quota_rejections_total' results/frontdoor_soak_metrics.prom \
-  || { echo "frontdoor_soak: quota metrics missing from exposition" >&2; exit 1; }
-grep -q 'apf_serve_wire_quota_checked_total' results/frontdoor_soak_metrics.prom \
-  || { echo "frontdoor_soak: wire-door counters missing from exposition" >&2; exit 1; }
-# Trace completeness: one probe request must stitch client -> wire server
-# -> engine -> >=2 stitch workers -> merge under a single trace id, with
-# no orphaned parent links, archived as a Chrome trace.
-grep -q '"trace_complete": true' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: probe trace did not stitch end to end" >&2; exit 1; }
-grep -q '"traceEvents"' results/frontdoor_trace.json \
-  || { echo "frontdoor_soak: archived trace is not Chrome trace JSON" >&2; exit 1; }
-# Admin plane parity + black-box dump from the injected worker panic.
-grep -q '"admin_matches_prom": true' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: admin metrics diverged from the exposition" >&2; exit 1; }
-grep -q '"flight_dump_ok": true' results/frontdoor_soak.json \
-  || { echo "frontdoor_soak: no flight-recorder dump from the injected panic" >&2; exit 1; }
-ls results/flight_panic_*.jsonl >/dev/null 2>&1 \
-  || { echo "frontdoor_soak: flight dump file missing" >&2; exit 1; }
-
-echo "==> batch_bench gate (batched == solo within 1e-5, >= 2x throughput at concurrency 16, >= 90% cache hits)"
-# The binary asserts its gates internally; the archived JSON is re-checked
-# so a silently weakened assert still fails here.
-rm -f results/batch_bench.json
-cargo run --release -q -p apf-bench --bin batch_bench
-test -s results/batch_bench.json || { echo "missing batch_bench.json" >&2; exit 1; }
-grep -q '"equivalence_ok": true' results/batch_bench.json \
-  || { echo "batch_bench: batched forward diverged from solo" >&2; exit 1; }
-grep -q '"bit_exact_ok": true' results/batch_bench.json \
-  || { echo "batch_bench: batch of one not bit-exact" >&2; exit 1; }
-grep -q '"speedup_ok": true' results/batch_bench.json \
-  || { echo "batch_bench: batched throughput below 2x baseline" >&2; exit 1; }
-grep -q '"cache_hit_rate_ok": true' results/batch_bench.json \
-  || { echo "batch_bench: cache hit rate below 90%" >&2; exit 1; }
-grep -q '"baseline_uncached": true' results/batch_bench.json \
-  || { echo "batch_bench: baseline was not uncached batches of one" >&2; exit 1; }
-
-echo "==> frontdoor_soak --scale gate (>= 1e5 batched requests, zero failures, >= 90% cache hits)"
-rm -f results/frontdoor_soak_scale.json
-cargo run --release -q -p apf-bench --bin frontdoor_soak -- --scale
-test -s results/frontdoor_soak_scale.json || { echo "missing frontdoor_soak_scale.json" >&2; exit 1; }
-grep -q '"untyped_client_failures": 0' results/frontdoor_soak_scale.json \
-  || { echo "frontdoor_soak --scale: client thread panicked" >&2; exit 1; }
-grep -q '"typed_client_failures": 0' results/frontdoor_soak_scale.json \
-  || { echo "frontdoor_soak --scale: requests failed" >&2; exit 1; }
-grep -q '"no_orphaned_worker_slots": true' results/frontdoor_soak_scale.json \
-  || { echo "frontdoor_soak --scale: orphaned worker slots" >&2; exit 1; }
-grep -q '"batching_active": true' results/frontdoor_soak_scale.json \
-  || { echo "frontdoor_soak --scale: batches never formed" >&2; exit 1; }
-grep -q '"cache_hit_rate_ok": true' results/frontdoor_soak_scale.json \
-  || { echo "frontdoor_soak --scale: cache hit rate below 90%" >&2; exit 1; }
+verdicts engine epilogue_slide_completed every_request_answered queue_bound_held \
+  tiers_monotone_in_depth burst_left_full_tier burst_hit_backpressure breaker_tripped \
+  breaker_recovered worker0_ends_closed zero_process_panics requests_completed \
+  malformed_rejected_typed doomed_never_completed slides_answered_typed \
+  no_partial_slide_containers slide_counter_matches_responses registry_consistent_with_engine \
+  prometheus_lines_prefixed span_tree_complete core_spans_nested trace_jsonl_valid
+# Probe trace: client -> wire server -> engine -> >= 2 stitch workers ->
+# merge under one trace id with no orphaned parents, archived as Chrome
+# trace JSON; admin-plane parity; a flight dump from the injected panic.
+verdicts wire trace_complete chrome_trace_has_trace_events admin_health_serving \
+  admin_matches_prom admin_flight_dump_jsonl idle_connections_observed_goaway \
+  zero_server_panics no_orphaned_worker_slots quota_accounting_exact zero_quota_drift \
+  registry_agrees_with_quota_gate poor_tenant_throttled over_quota_backed_by_rejections \
+  rich_tenants_unstarved drain_within_bound drained_connections_got_goaway \
+  zero_untyped_client_failures all_client_failures_typed calls_succeeded \
+  slide_outputs_readable flight_dump_ok exposition_has_apf_serve_quota_rejections_total \
+  exposition_has_apf_serve_wire_quota_checked_total
+verdicts scale wire_requests_at_least_1e5 zero_untyped_client_failures \
+  zero_typed_client_failures no_orphaned_worker_slots zero_server_panics \
+  wire_cache_hit_rate_ok batching_active engine_requests_completed baseline_uncached \
+  speedup_ok engine_cache_hit_rate_ok engine_batching_active
 
 echo "==> telemetry_overhead gate (disabled hooks, flight recorder included, < 2%)"
 rm -f results/telemetry_overhead.json
