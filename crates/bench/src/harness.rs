@@ -22,6 +22,27 @@ pub fn paip_pairs(res: usize, n: usize) -> Vec<(GrayImage, GrayImage)> {
         .collect()
 }
 
+/// Largest absolute per-pixel difference between `a` and `b`:
+/// `f32::INFINITY` when their dimensions differ or a difference is NaN, so
+/// a stitched output of the wrong size can never pass as a match.
+pub fn max_abs_diff(a: &GrayImage, b: &GrayImage) -> f32 {
+    if (a.width(), a.height()) != (b.width(), b.height()) {
+        return f32::INFINITY;
+    }
+    a.data()
+        .iter()
+        .zip(b.data())
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, |m, d| if d.is_nan() { f32::INFINITY } else { m.max(d) })
+}
+
+/// Whether `a` and `b` have the same dimensions and the same bits in every
+/// pixel.
+pub fn bits_equal(a: &GrayImage, b: &GrayImage) -> bool {
+    (a.width(), a.height()) == (b.width(), b.height())
+        && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Power-of-two grid side for a target token count.
 ///
 /// Algorithm 1 pads *or randomly drops* to the fixed length `L`, so we pick
@@ -190,6 +211,25 @@ mod tests {
         assert_eq!(grid_side_for(30), 8);
         assert_eq!(grid_side_for(283), 16);
         assert_eq!(grid_side_for(400), 32);
+    }
+
+    #[test]
+    fn image_comparisons_include_dimensions() {
+        let a = GrayImage::from_fn(4, 4, |x, y| (x + 4 * y) as f32);
+        let mut off = a.clone();
+        off.set(2, 1, a.get(2, 1) + 0.5);
+        assert_eq!(max_abs_diff(&a, &a), 0.0);
+        assert_eq!(max_abs_diff(&a, &off), 0.5);
+        assert!(bits_equal(&a, &a) && !bits_equal(&a, &off));
+        // The first 16 values agree, so a zip over the buffers sees no
+        // difference; the 4x8 image is still not the 4x4 one.
+        let tall = GrayImage::from_fn(4, 8, |x, y| (x + 4 * y) as f32);
+        assert_eq!(&tall.data()[..16], a.data());
+        assert_eq!(max_abs_diff(&a, &tall), f32::INFINITY);
+        assert!(!bits_equal(&a, &tall));
+        let mut nan = a.clone();
+        nan.set(0, 0, f32::NAN);
+        assert_eq!(max_abs_diff(&a, &nan), f32::INFINITY);
     }
 
     #[test]

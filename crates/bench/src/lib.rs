@@ -20,12 +20,14 @@
 //! | `ablation_droprate` | fixed-length L (pad vs drop) ablation |
 //!
 //! Infrastructure gates ride the same harness and are wired into
-//! `scripts/check.sh`: `soak --scenario engine|wire|scale` (fault-soaked
-//! engine, faulted front door, >= 1e5 batched requests and the >= 2x
-//! batching gate; one [`SoakReport`] schema), `telemetry_overhead`
-//! (disabled hooks < 2%), `kernel_bench` (fast-path speedups), and
-//! `gigapixel_bench` (out-of-core 16K² slide segmented under 1/8 of its
-//! dense bytes, stitched output pinned to the full-image path at 1e-5).
+//! `scripts/check.sh`: `soak --scenario engine|wire|scale|slide`
+//! (fault-soaked engine, faulted front door, >= 1e5 batched requests and
+//! the >= 2x batching gate, and the out-of-core 16K² slide segmented
+//! under 1/8 of its dense bytes with stitched output pinned to the
+//! full-image path at 1e-5, distributed output bit-identical to serial
+//! and >= 5x window throughput at 8 workers; one [`SoakReport`] schema),
+//! `telemetry_overhead` (disabled hooks < 2%) and `kernel_bench`
+//! (fast-path speedups).
 //!
 //! Every binary accepts `--quick` for a smoke-test-scale run plus
 //! experiment-specific `--key value` overrides, prints paper-vs-measured

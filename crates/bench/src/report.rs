@@ -180,16 +180,6 @@ impl serde::Serialize for SoakReport {
     }
 }
 
-/// Formats a float with `digits` decimals.
-pub fn f(x: f64, digits: usize) -> String {
-    format!("{:.*}", digits, x)
-}
-
-/// Formats a speedup like the paper (`6.9x`).
-pub fn speedup(x: f64) -> String {
-    format!("{:.2}x", x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,12 +199,6 @@ mod tests {
         // All data lines equal length.
         assert_eq!(lines[1].len(), lines[3].len());
         assert_eq!(lines[3].len(), lines[4].len());
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(speedup(6.9), "6.90x");
     }
 
     #[test]

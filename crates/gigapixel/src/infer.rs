@@ -13,8 +13,8 @@
 //! frontier passes) instead of a logit plane plus a weight plane.
 //!
 //! Peak residency is therefore `O(W * Z)` for the band plus the tile-cache
-//! budget, independent of `Z²`; the `gigapixel_bench` gate proves this at
-//! 16K² against a budget that is 1/8 of the dense image bytes.
+//! budget, independent of `Z²`; the `soak --scenario slide` gate proves
+//! this at 16K² against a budget that is 1/8 of the dense image bytes.
 //!
 //! [`SlideSegmenter::segment_dense`] runs the *same* windowed algorithm on
 //! an in-memory image, performing the identical f32 additions in the

@@ -54,8 +54,6 @@ pub enum Op {
     Sigmoid(Var),
     /// Elementwise hyperbolic tangent.
     Tanh(Var),
-    /// Elementwise natural log (caller must ensure positivity).
-    Log(Var),
     /// Elementwise exponential.
     Exp(Var),
     /// Batched matrix multiply (see [`crate::kernels::gemm::matmul`]).
@@ -78,8 +76,6 @@ pub enum Op {
     SumAxis(Var, usize),
     /// Row gather: input viewed as `[R, D]` (D = last dim), select rows.
     GatherRows { x: Var, indices: Arc<Vec<u32>>, out_shape: Shape },
-    /// Inverted dropout with keep-prob `1 - p` (mask kept in aux).
-    Dropout(Var, f32),
     /// Concatenate along `axis`.
     Concat { inputs: Vec<Var>, axis: usize },
     /// 2D convolution `(x, w, b)` in NCHW.
@@ -88,8 +84,6 @@ pub enum Op {
     ConvTranspose2d { x: Var, w: Var, b: Var, geom: ConvGeom },
     /// Non-overlapping max-pool with window `k`.
     MaxPool2d(Var, usize),
-    /// Non-overlapping average-pool with window `k`.
-    AvgPool2d(Var, usize),
     /// Numerically-stable mean binary-cross-entropy on logits.
     BceWithLogits { logits: Var, targets: Var },
     /// Mean softmax cross-entropy on logits viewed as `[R, C]` with integer
@@ -122,8 +116,6 @@ pub(crate) enum Aux {
     PoolIdx(Arc<Vec<u32>>),
     /// Per-row mean and inverse stddev (layer/batch norm).
     Moments { mean: Tensor, invstd: Tensor },
-    /// Dropout keep mask (already scaled by 1/(1-p)).
-    Mask(Tensor),
     /// Row-wise softmax probabilities (cross-entropy).
     Probs(Tensor),
     /// Per-query-row log-sum-exp of the attention scores (`[BH, Lq]`),

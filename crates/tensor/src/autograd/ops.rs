@@ -2,10 +2,6 @@
 
 use std::sync::Arc;
 
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use crate::kernels::attention;
 use crate::kernels::conv::{self, ConvGeom};
 use crate::kernels::fused;
@@ -114,13 +110,6 @@ impl Graph {
         let v = self.value(a).map(f32::tanh);
         let rg = self.rg(a);
         self.push(v, Op::Tanh(a), rg, Aux::None)
-    }
-
-    /// Natural log. The caller must guarantee positive inputs.
-    pub fn log(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::ln);
-        let rg = self.rg(a);
-        self.push(v, Op::Log(a), rg, Aux::None)
     }
 
     /// Elementwise exponential.
@@ -330,25 +319,6 @@ impl Graph {
         self.push(v, Op::GatherRows { x: a, indices, out_shape }, rg, Aux::None)
     }
 
-    /// Inverted dropout: zeroes with prob `p`, scales kept values by
-    /// `1/(1-p)`. Pass `p = 0` (or use eval mode in layers) to disable.
-    pub fn dropout(&mut self, a: Var, p: f32, seed: u64) -> Var {
-        assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
-        if p == 0.0 {
-            return a;
-        }
-        let x = self.value(a);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let scale = 1.0 / (1.0 - p);
-        let mask: Vec<f32> = (0..x.numel())
-            .map(|_| if rng.gen::<f32>() < p { 0.0 } else { scale })
-            .collect();
-        let mask = Tensor::new(x.shape().clone(), mask);
-        let v = x.mul(&mask);
-        let rg = self.rg(a);
-        self.push(v, Op::Dropout(a, p), rg, Aux::Mask(mask))
-    }
-
     /// Concatenates along `axis`.
     pub fn concat(&mut self, inputs: &[Var], axis: usize) -> Var {
         let tensors: Vec<&Tensor> = inputs.iter().map(|&v| self.value(v)).collect();
@@ -378,13 +348,6 @@ impl Graph {
         let (v, idx) = pool::maxpool2d(self.value(x), k);
         let rg = self.rg(x);
         self.push(v, Op::MaxPool2d(x, k), rg, Aux::PoolIdx(Arc::new(idx)))
-    }
-
-    /// Non-overlapping average-pool with window `k`.
-    pub fn avgpool2d(&mut self, x: Var, k: usize) -> Var {
-        let v = pool::avgpool2d(self.value(x), k);
-        let rg = self.rg(x);
-        self.push(v, Op::AvgPool2d(x, k), rg, Aux::None)
     }
 
     // ---------------------------------------------------------------- losses
@@ -572,10 +535,6 @@ impl Graph {
                 let gx = g.zip_with(y, |gi, yi| gi * (1.0 - yi * yi));
                 vec![(*a, gx)]
             }
-            Op::Log(a) => {
-                let gx = g.zip_with(self.value(*a), |gi, xi| gi / xi);
-                vec![(*a, gx)]
-            }
             Op::Exp(a) => {
                 let y = &self.nodes[at.0].value;
                 vec![(*a, g.mul(y))]
@@ -646,13 +605,6 @@ impl Graph {
                 }
                 vec![(*x, Tensor::new(xshape, gx))]
             }
-            Op::Dropout(a, _) => {
-                let mask = match &self.nodes[at.0].aux {
-                    Aux::Mask(m) => m,
-                    _ => unreachable!("dropout node missing mask"),
-                };
-                vec![(*a, g.mul(mask))]
-            }
             Op::Concat { inputs, axis } => {
                 let extents: Vec<usize> = inputs
                     .iter()
@@ -678,12 +630,6 @@ impl Graph {
                 };
                 let xshape = self.value(*x).shape().clone();
                 let gx = pool::maxpool2d_backward(g, idx, xshape.numel());
-                vec![(*x, Tensor::new(xshape, gx))]
-            }
-            Op::AvgPool2d(x, k) => {
-                let xshape = self.value(*x).shape().clone();
-                let d = xshape.dims();
-                let gx = pool::avgpool2d_backward(g, *k, d[2], d[3]);
                 vec![(*x, Tensor::new(xshape, gx))]
             }
             Op::BceWithLogits { logits, targets } => {

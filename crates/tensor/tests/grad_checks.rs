@@ -145,17 +145,6 @@ fn grad_activations() {
 }
 
 #[test]
-fn grad_log() {
-    let x = Tensor::rand_uniform([6], 0.5, 2.0, 19);
-    check_gradient(&x, tol(), |g, t| {
-        let a = g.leaf(t);
-        let y = g.log(a);
-        let l = g.sum_all(y);
-        (a, l)
-    });
-}
-
-#[test]
 fn grad_matmul_2d_lhs_rhs() {
     let x = Tensor::rand_uniform([3, 4], -1.0, 1.0, 20);
     check_gradient(&x, tol(), |g, t| {
@@ -423,14 +412,6 @@ fn grad_pools() {
         let l = g.sum_all(sq);
         (a, l)
     });
-    let x2 = Tensor::rand_uniform([2, 2, 4, 4], -1.0, 1.0, 66);
-    check_gradient(&x2, tol(), |g, t| {
-        let a = g.leaf(t);
-        let y = g.avgpool2d(a, 2);
-        let sq = g.mul(y, y);
-        let l = g.sum_all(sq);
-        (a, l)
-    });
 }
 
 #[test]
@@ -451,20 +432,6 @@ fn grad_softmax_cross_entropy() {
     check_gradient(&x, tol(), move |g, t| {
         let a = g.leaf(t);
         let l = g.softmax_cross_entropy(a, targets.clone());
-        (a, l)
-    });
-}
-
-#[test]
-fn grad_dropout_through_mask() {
-    // Same seed -> same mask in every graph construction, so finite
-    // differences see a fixed linear map.
-    let x = Tensor::rand_uniform([8], -1.0, 1.0, 70);
-    check_gradient(&x, tol(), |g, t| {
-        let a = g.leaf(t);
-        let y = g.dropout(a, 0.5, 1234);
-        let sq = g.mul(y, y);
-        let l = g.sum_all(sq);
         (a, l)
     });
 }
