@@ -34,6 +34,7 @@
 pub mod crc32;
 pub mod error;
 pub mod fault;
+pub mod lru;
 pub mod morton;
 pub mod patchify;
 pub mod pipeline;

@@ -1,50 +1,35 @@
 //! Bounded LRU cache of decoded tiles with Morton-order prefetch.
 //!
-//! The cache holds decoded `f32` tiles behind `Arc`s under a byte budget;
-//! eviction is least-recently-used. [`TileCache::prefetch`] warms a set of
-//! tiles in Morton (Z-curve) order — the same order the streaming quadtree
-//! and the stitching driver consume tiles in, so a prefetched batch is
-//! consumed before it is evicted. Payload reads hold the store's file lock;
-//! checksum verification and f32 decoding run outside it on rayon
-//! iterators.
+//! Decoded `f32` tiles live in the shared [`apf_core::lru::Lru`] under a
+//! byte budget: the least recently used tiles are evicted before a new one
+//! is inserted, so the cache never holds more than its budget, and a tile
+//! larger than the whole budget is returned to its reader uncached. Every
+//! resident byte is also charged to the drive's [`Residency`]. A miss reads
+//! the tile once however many callers race for it (single-flight), and a
+//! CRC mismatch is re-read up to [`MAX_TILE_READ_ATTEMPTS`] times in all.
+//!
+//! [`TileCache::prefetch`] warms a set of tiles in Morton (Z-curve) order —
+//! the same order the streaming quadtree and the stitching driver consume
+//! tiles in, so a prefetched batch is consumed before it is evicted.
+//! Prefetch goes through the same single-flight lookup as [`TileCache::get`];
+//! payload reads hold the store's file lock, while checksum verification
+//! and f32 decoding run outside it on rayon iterators.
 //!
 //! Hits, misses, evictions, and resident bytes are exported as
 //! `apf_gigapixel_cache_*` metrics; bulk operations open `gigapixel.*`
 //! spans.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use apf_core::lru::{Lru, LruMetrics};
 use apf_core::morton_encode;
 use apf_imaging::GrayImage;
-use apf_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use apf_telemetry::{Counter, Histogram, Telemetry};
 use rayon::prelude::*;
 
 use crate::error::GigapixelError;
 use crate::residency::Residency;
 use crate::store::{TileGeometry, TileStore};
-
-struct Entry {
-    data: Arc<Vec<f32>>,
-    last_used: u64,
-}
-
-struct LruState {
-    map: HashMap<(u32, u32), Entry>,
-    tick: u64,
-    resident_bytes: usize,
-}
-
-/// Telemetry handles; all inert when built on a disabled sink.
-#[derive(Clone)]
-struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    resident: Gauge,
-    read_s: Histogram,
-    retries: Counter,
-}
 
 /// Read attempts (initial + retries) before a CRC-failing tile is declared
 /// persistently corrupt. Transient corruption — a torn read racing a
@@ -55,11 +40,10 @@ pub const MAX_TILE_READ_ATTEMPTS: u32 = 3;
 /// Byte-bounded LRU over a [`TileStore`].
 pub struct TileCache {
     store: Arc<TileStore>,
-    budget_bytes: usize,
-    state: Mutex<LruState>,
+    tiles: Lru<(u32, u32), Vec<f32>>,
     tel: Telemetry,
-    metrics: CacheMetrics,
-    residency: Residency,
+    read_s: Histogram,
+    retries: Counter,
 }
 
 impl TileCache {
@@ -71,21 +55,23 @@ impl TileCache {
         tel: Telemetry,
         residency: Residency,
     ) -> Self {
-        let metrics = CacheMetrics {
-            hits: tel.counter("apf_gigapixel_cache_hits_total", "Tile reads served from cache"),
+        let hits = tel.counter("apf_gigapixel_cache_hits_total", "Tile reads served from cache");
+        let metrics = LruMetrics {
+            // A read that waited on another reader's fetch of the same tile
+            // is served from cache too.
+            coalesced: hits.clone(),
+            hits,
             misses: tel.counter("apf_gigapixel_cache_misses_total", "Tile reads that hit disk"),
             evictions: tel.counter("apf_gigapixel_cache_evictions_total", "Tiles evicted by the byte budget"),
-            resident: tel.gauge("apf_gigapixel_cache_resident_bytes", "Decoded tile bytes held by the cache"),
-            read_s: tel.histogram("apf_gigapixel_tile_read_seconds", "Disk read + CRC verify + decode per tile"),
-            retries: tel.counter("apf_gigapixel_tile_retry_total", "Tile reads retried after a CRC mismatch"),
+            resident_bytes: tel.gauge("apf_gigapixel_cache_resident_bytes", "Decoded tile bytes held by the cache"),
+            ..LruMetrics::default()
         };
         TileCache {
             store,
-            budget_bytes,
-            state: Mutex::new(LruState { map: HashMap::new(), tick: 0, resident_bytes: 0 }),
+            tiles: Lru::new(budget_bytes, |t: &Vec<f32>| t.len() * 4, metrics).with_charge(residency),
+            read_s: tel.histogram("apf_gigapixel_tile_read_seconds", "Disk read + CRC verify + decode per tile"),
+            retries: tel.counter("apf_gigapixel_tile_retry_total", "Tile reads retried after a CRC mismatch"),
             tel,
-            metrics,
-            residency,
         }
     }
 
@@ -94,38 +80,22 @@ impl TileCache {
         self.store.geometry()
     }
 
-    /// The underlying store.
-    pub fn store(&self) -> &TileStore {
-        &self.store
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Decoded bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.state.lock().expect("cache lock poisoned").resident_bytes
+        self.tiles.resident_bytes()
     }
 
     /// Fetches one tile through the cache.
     pub fn get(&self, tx: u32, ty: u32) -> Result<Arc<Vec<f32>>, GigapixelError> {
-        if let Some(hit) = self.lookup(tx, ty) {
-            return Ok(hit);
-        }
-        let _t = self.metrics.read_s.start_timer();
-        self.metrics.misses.inc();
-        let data = Arc::new(self.read_verified(tx, ty)?);
-        self.insert(tx, ty, Arc::clone(&data));
-        Ok(data)
+        self.tiles.get_or_build((tx, ty), || self.read_verified(tx, ty)).map(|(tile, _)| tile)
     }
 
-    /// Reads and CRC-verifies one tile, retrying with a short backoff on
-    /// checksum mismatch (the transient-corruption model). After
-    /// [`MAX_TILE_READ_ATTEMPTS`] consecutive mismatches the tile is
-    /// declared persistently corrupt.
+    /// Reads, CRC-verifies and decodes one tile, re-reading with a short
+    /// backoff on checksum mismatch (the transient-corruption model). After
+    /// [`MAX_TILE_READ_ATTEMPTS`] reads in all fail their checksum the tile
+    /// is declared persistently corrupt.
     fn read_verified(&self, tx: u32, ty: u32) -> Result<Vec<f32>, GigapixelError> {
+        let _t = self.read_s.start_timer();
         let mut attempt = 1u32;
         loop {
             let bytes = self.store.read_tile_bytes(tx, ty)?;
@@ -133,15 +103,10 @@ impl TileCache {
                 Ok(data) => return Ok(data),
                 Err(GigapixelError::CrcMismatch { expected, found, .. }) => {
                     if attempt >= MAX_TILE_READ_ATTEMPTS {
-                        return Err(GigapixelError::TileCorrupt {
-                            tx,
-                            ty,
-                            attempts: attempt,
-                            expected,
-                            found,
-                        });
+                        let attempts = attempt;
+                        return Err(GigapixelError::TileCorrupt { tx, ty, attempts, expected, found });
                     }
-                    self.metrics.retries.inc();
+                    self.retries.inc();
                     std::thread::sleep(std::time::Duration::from_millis(1 << attempt));
                     attempt += 1;
                 }
@@ -150,85 +115,16 @@ impl TileCache {
         }
     }
 
-    fn lookup(&self, tx: u32, ty: u32) -> Option<Arc<Vec<f32>>> {
-        let mut s = self.state.lock().expect("cache lock poisoned");
-        s.tick += 1;
-        let tick = s.tick;
-        if let Some(e) = s.map.get_mut(&(tx, ty)) {
-            e.last_used = tick;
-            self.metrics.hits.inc();
-            return Some(Arc::clone(&e.data));
-        }
-        None
-    }
-
-    fn insert(&self, tx: u32, ty: u32, data: Arc<Vec<f32>>) {
-        let bytes = data.len() * 4;
-        let mut s = self.state.lock().expect("cache lock poisoned");
-        s.tick += 1;
-        let tick = s.tick;
-        if s.map.insert((tx, ty), Entry { data, last_used: tick }).is_none() {
-            s.resident_bytes += bytes;
-            self.residency.add(bytes);
-        }
-        // Evict strictly-least-recently-used entries until back under
-        // budget, but never the tile just inserted: a single tile larger
-        // than the whole budget must still be usable.
-        while s.resident_bytes > self.budget_bytes && s.map.len() > 1 {
-            let victim = s
-                .map
-                .iter()
-                .filter(|(&k, _)| k != (tx, ty))
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            let Some(k) = victim else { break };
-            if let Some(e) = s.map.remove(&k) {
-                let freed = e.data.len() * 4;
-                s.resident_bytes -= freed;
-                self.residency.sub(freed);
-                self.metrics.evictions.inc();
-            }
-        }
-        self.metrics.resident.set(s.resident_bytes as f64);
-    }
-
-    /// Warms `tiles` (deduplicated) in Morton order. Raw payloads are read
-    /// sequentially under the store's file lock; CRC verification and
-    /// decoding fan out on rayon.
+    /// Warms `tiles` (deduplicated) in Morton order through [`Self::get`],
+    /// so a tile another reader is already fetching is waited on, not read
+    /// twice. Payload reads serialize on the store's file lock; CRC
+    /// verification and decoding fan out on rayon.
     pub fn prefetch(&self, tiles: &[(u32, u32)]) -> Result<(), GigapixelError> {
         let _span = self.tel.span("gigapixel.prefetch");
         let mut wanted: Vec<(u32, u32)> = tiles.to_vec();
         wanted.sort_by_key(|&(tx, ty)| morton_encode(tx, ty));
         wanted.dedup();
-        wanted.retain(|&(tx, ty)| self.lookup(tx, ty).is_none());
-        if wanted.is_empty() {
-            return Ok(());
-        }
-        self.metrics.misses.add(wanted.len() as u64);
-        let _t = self.metrics.read_s.start_timer();
-        let raw: Vec<((u32, u32), Vec<u8>)> = wanted
-            .iter()
-            .map(|&(tx, ty)| self.store.read_tile_bytes(tx, ty).map(|b| ((tx, ty), b)))
-            .collect::<Result<_, _>>()?;
-        let decoded: Vec<((u32, u32), Vec<f32>)> = raw
-            .par_iter()
-            .map(|((tx, ty), bytes)| {
-                match self.store.verify_and_decode(*tx, *ty, bytes) {
-                    Ok(d) => Ok(((*tx, *ty), d)),
-                    // A CRC failure on the batched first read falls back to
-                    // the retrying single-tile path (fresh re-reads).
-                    Err(GigapixelError::CrcMismatch { .. }) => {
-                        self.metrics.retries.inc();
-                        self.read_verified(*tx, *ty).map(|d| ((*tx, *ty), d))
-                    }
-                    Err(e) => Err(e),
-                }
-            })
-            .collect::<Result<_, _>>()?;
-        for ((tx, ty), data) in decoded {
-            self.insert(tx, ty, Arc::new(data));
-        }
-        Ok(())
+        wanted.par_iter().try_for_each(|&(tx, ty)| self.get(tx, ty).map(drop))
     }
 
     /// Assembles an arbitrary pixel region by gathering the covering tiles
@@ -336,7 +232,7 @@ mod tests {
         assert_eq!(snap.get("apf_gigapixel_cache_misses_total", &[]).unwrap().value, 17.0);
         // Residency gauge mirrors the cache's own accounting.
         assert_eq!(res.current(), cache.resident_bytes());
-        assert!(res.peak() <= 4 * 1024 + 1024);
+        assert!(res.peak() <= 4 * 1024);
     }
 
     #[test]
@@ -394,8 +290,7 @@ mod tests {
         drop(f);
 
         let store = Arc::new(TileStore::open(&path).unwrap());
-        let res = Residency::new(&tel);
-        let cache = TileCache::new(store, usize::MAX, tel.clone(), res);
+        let cache = TileCache::new(Arc::clone(&store), usize::MAX, tel.clone(), Residency::new(&tel));
         // Clean tiles still read fine.
         cache.get(0, 0).unwrap();
         match cache.get(1, 1) {
@@ -409,6 +304,23 @@ mod tests {
             snap.get("apf_gigapixel_tile_retry_total", &[]).unwrap().value,
             (MAX_TILE_READ_ATTEMPTS - 1) as f64,
             "each failed attempt but the last counts one retry"
+        );
+
+        // The prefetch behind read_region counts its read as the first
+        // attempt too.
+        let tel = Telemetry::enabled();
+        let cache = TileCache::new(Arc::clone(&store), usize::MAX, tel.clone(), Residency::new(&tel));
+        match cache.read_region(8, 8, 16, 16) {
+            Err(GigapixelError::TileCorrupt { tx: 1, ty: 1, attempts, .. }) => {
+                assert_eq!(attempts, MAX_TILE_READ_ATTEMPTS);
+            }
+            other => panic!("expected TileCorrupt, got {other:?}"),
+        }
+        let snap = tel.snapshot();
+        assert_eq!(
+            snap.get("apf_gigapixel_tile_retry_total", &[]).unwrap().value,
+            (MAX_TILE_READ_ATTEMPTS - 1) as f64,
+            "read_region retries a corrupt tile as often as get"
         );
     }
 }

@@ -46,7 +46,7 @@ use crate::cache::TileCache;
 use crate::error::GigapixelError;
 use crate::infer::{
     axis_weight, blend_profile, blend_window, finalize_row, window_positions, RowBand,
-    SlideSegmenter, StitchReport,
+    RowStager, SlideSegmenter, StitchReport,
 };
 use crate::residency::{Residency, ResidencyCharge};
 use crate::store::TileStoreWriter;
@@ -370,52 +370,13 @@ struct WindowDone {
 /// Mutable stitch progress owned by the merge loop.
 struct Progress {
     band: RowBand,
-    staged: Vec<Vec<f32>>,
-    staged_first: usize,
+    rows: RowStager,
     flushed: usize,
     merged: usize,
     tokens: usize,
-    positive: usize,
-    writer: TileStoreWriter,
 }
 
 impl Progress {
-    /// Emits one finalized row into the tile staging buffer, cutting a
-    /// tile row when full — the exact discipline of `segment_store`.
-    fn emit_row(
-        &mut self,
-        y: usize,
-        row: Vec<f32>,
-        z: usize,
-        t: usize,
-        residency: &Residency,
-    ) -> Result<(), GigapixelError> {
-        if self.staged.is_empty() {
-            self.staged_first = y;
-        }
-        residency.add(z * 4);
-        self.staged.push(row);
-        if self.staged.len() == t || y + 1 == z {
-            let n = self.staged.len();
-            let geom = self.writer.geometry();
-            let ty = (self.staged_first / t) as u32;
-            let th = self.staged.len();
-            for tx in 0..geom.tiles_x() {
-                let (tw, _) = geom.tile_dims(tx, ty);
-                let x0 = tx as usize * t;
-                let mut tile = Vec::with_capacity(tw * th);
-                for row in self.staged.iter() {
-                    tile.extend_from_slice(&row[x0..x0 + tw]);
-                }
-                self.positive += tile.iter().filter(|&&v| v > 0.0).count();
-                self.writer.write_tile(tx, ty, &tile)?;
-            }
-            self.staged.clear();
-            residency.sub(z * 4 * n);
-        }
-        Ok(())
-    }
-
     /// Snapshot for checkpointing; `flush_to_disk` must already have run
     /// so `written_prefix_crcs` is a durable high-water mark.
     fn snapshot(&self, fp: Fingerprint) -> StitchSnapshot {
@@ -423,12 +384,12 @@ impl Progress {
             fingerprint: fp,
             merged: self.merged,
             flushed: self.flushed,
-            staged_first: self.staged_first,
-            staged: self.staged.clone(),
+            staged_first: self.rows.first,
+            staged: self.rows.staged.clone(),
             band: self.band.rows.iter().map(|(&y, r)| (y, r.clone())).collect(),
-            tile_crcs: self.writer.written_prefix_crcs(),
+            tile_crcs: self.rows.writer.written_prefix_crcs(),
             tokens: self.tokens,
-            positive: self.positive,
+            positive: self.rows.positive,
             trace_id: current_trace_id(),
         }
     }
@@ -535,27 +496,26 @@ impl<'m> SlideSegmenter<'m> {
                 for (y, row) in snap.band {
                     band.row_mut(y).copy_from_slice(&row);
                 }
-                residency.add(snap.staged.len() * z * 4);
                 Progress {
                     band,
-                    staged: snap.staged,
-                    staged_first: snap.staged_first,
+                    rows: RowStager::resume(
+                        writer,
+                        snap.staged,
+                        snap.staged_first,
+                        snap.positive,
+                        residency.clone(),
+                    ),
                     flushed: snap.flushed,
                     merged: snap.merged,
                     tokens: snap.tokens,
-                    positive: snap.positive,
-                    writer,
                 }
             }
             None => Progress {
                 band: RowBand::new(z, residency.clone()),
-                staged: Vec::new(),
-                staged_first: 0,
+                rows: RowStager::new(TileStoreWriter::create(out_path, z, z, t)?, residency.clone()),
                 flushed: 0,
                 merged: 0,
                 tokens: 0,
-                positive: 0,
-                writer: TileStoreWriter::create(out_path, z, z, t)?,
             },
         };
 
@@ -717,7 +677,7 @@ impl<'m> SlideSegmenter<'m> {
                         while progress.flushed < frontier {
                             let y = progress.flushed;
                             let row = finalize_row(&mut progress.band, &wsum, y);
-                            progress.emit_row(y, row, z, t, residency)?;
+                            progress.rows.push(y, row)?;
                             progress.flushed += 1;
                         }
                     }
@@ -737,7 +697,7 @@ impl<'m> SlideSegmenter<'m> {
                         && merged_this_run.is_multiple_of(opts.checkpoint_every);
                     if due {
                         let ckpt = opts.checkpoint_path.as_deref().expect("checked is_some");
-                        progress.writer.flush_to_disk()?;
+                        progress.rows.writer.flush_to_disk()?;
                         let state = progress.snapshot(fp).to_state();
                         if opts.checkpoint_crash_at == Some(checkpoints_written) {
                             // Simulate a torn write on a non-atomic
@@ -787,6 +747,7 @@ impl<'m> SlideSegmenter<'m> {
         match merge_outcome {
             Ok(()) => {}
             Err(e) => {
+                residency.sub((progress.rows.staged.len() + progress.band.rows.len()) * z * 4);
                 let resumable = matches!(
                     e,
                     GigapixelError::Cancelled { .. }
@@ -801,31 +762,28 @@ impl<'m> SlideSegmenter<'m> {
                         let abrupt =
                             matches!(e, GigapixelError::InjectedCrash { .. });
                         if !abrupt {
-                            progress.writer.flush_to_disk()?;
+                            progress.rows.writer.flush_to_disk()?;
                             let bytes = rotate_and_save(ckpt, &progress.snapshot(fp).to_state())?;
                             ckpt_total.inc();
                             ckpt_bytes_total.add(bytes);
                         }
-                        let held = progress.staged.len() + progress.band.rows.len();
-                        progress.writer.suspend()?;
-                        residency.sub(held * z * 4);
+                        progress.rows.writer.suspend()?;
                         return Err(e);
                     }
                 }
                 // Non-resumable (or checkpointing disabled): the writer's
                 // Drop removes the temp file; no partial output survives.
-                residency.sub((progress.staged.len() + progress.band.rows.len()) * z * 4);
                 return Err(e);
             }
         }
 
         debug_assert_eq!(progress.flushed, z, "all rows flushed on success");
-        progress.writer.finish()?;
+        progress.rows.writer.finish()?;
         Ok(DistStitchReport {
             stitch: StitchReport {
                 windows: progress.merged,
                 tokens: progress.tokens,
-                positive_fraction: progress.positive as f64 / (z as f64 * z as f64),
+                positive_fraction: progress.rows.positive as f64 / (z as f64 * z as f64),
                 resolution: z,
             },
             workers: opts.workers,

@@ -214,6 +214,70 @@ pub(crate) fn finalize_row(band: &mut RowBand, wsum: &[f32], y: usize) -> Vec<f3
     row
 }
 
+/// Cuts finalized rows into the output container one tile row at a time:
+/// stages `tile_size` rows (fewer at the bottom edge), then writes one tile
+/// per column. Shared by the serial and distributed drives, so both write
+/// the same bytes; a stitch checkpoint saves and restores its fields.
+pub(crate) struct RowStager {
+    pub(crate) writer: TileStoreWriter,
+    /// Normalized rows emitted but not yet cut into tiles, each charged
+    /// to the residency ledger.
+    pub(crate) staged: Vec<Vec<f32>>,
+    /// Slide row of `staged[0]`.
+    pub(crate) first: usize,
+    /// Output pixels written so far with a positive logit.
+    pub(crate) positive: usize,
+    residency: Residency,
+}
+
+impl RowStager {
+    /// A stager with nothing staged.
+    pub(crate) fn new(writer: TileStoreWriter, residency: Residency) -> Self {
+        RowStager::resume(writer, Vec::new(), 0, 0, residency)
+    }
+
+    /// A stager continuing from checkpointed state; charges the restored
+    /// rows.
+    pub(crate) fn resume(
+        writer: TileStoreWriter,
+        staged: Vec<Vec<f32>>,
+        first: usize,
+        positive: usize,
+        residency: Residency,
+    ) -> Self {
+        residency.add(staged.len() * writer.geometry().width * 4);
+        RowStager { writer, staged, first, positive, residency }
+    }
+
+    /// Stages row `y` (rows arrive in increasing order), writing the tile
+    /// row once it is complete.
+    pub(crate) fn push(&mut self, y: usize, row: Vec<f32>) -> Result<(), GigapixelError> {
+        let geom = self.writer.geometry();
+        let (z, t) = (geom.width, geom.tile_size);
+        if self.staged.is_empty() {
+            self.first = y;
+        }
+        self.residency.add(z * 4);
+        self.staged.push(row);
+        if self.staged.len() == t || y + 1 == geom.height {
+            let ty = (self.first / t) as u32;
+            for tx in 0..geom.tiles_x() {
+                let (tw, _) = geom.tile_dims(tx, ty);
+                let x0 = tx as usize * t;
+                let mut tile = Vec::with_capacity(tw * self.staged.len());
+                for row in &self.staged {
+                    tile.extend_from_slice(&row[x0..x0 + tw]);
+                }
+                self.positive += tile.iter().filter(|&&v| v > 0.0).count();
+                self.writer.write_tile(tx, ty, &tile)?;
+            }
+            self.residency.sub(self.staged.len() * z * 4);
+            self.staged.clear();
+        }
+        Ok(())
+    }
+}
+
 /// Drives stitched whole-slide inference with a borrowed model.
 pub struct SlideSegmenter<'m> {
     model: &'m ViTSegmenter,
@@ -344,53 +408,11 @@ impl<'m> SlideSegmenter<'m> {
         let _span = self.tel.span("gigapixel.segment");
         let z = cache.geometry().width;
         let t = self.cfg.out_tile;
-        let mut writer = TileStoreWriter::create(out_path, z, z, t)?;
-        let geom = writer.geometry();
-        // Tile-row staging: collect `t` emitted rows, cut them into tiles.
-        let mut staged: Vec<Vec<f32>> = Vec::with_capacity(t);
-        let mut staged_first = 0usize;
-        let mut positive = 0usize;
-        let stage_bytes = |rows: usize| rows * z * 4;
-        let flush_band = |staged: &mut Vec<Vec<f32>>,
-                              first: usize,
-                              writer: &mut TileStoreWriter|
-         -> Result<usize, GigapixelError> {
-            let ty = (first / t) as u32;
-            let th = staged.len();
-            let mut pos = 0usize;
-            for tx in 0..geom.tiles_x() {
-                let (tw, _) = geom.tile_dims(tx, ty);
-                let x0 = tx as usize * t;
-                let mut tile = Vec::with_capacity(tw * th);
-                for row in staged.iter() {
-                    tile.extend_from_slice(&row[x0..x0 + tw]);
-                }
-                pos += tile.iter().filter(|&&v| v > 0.0).count();
-                writer.write_tile(tx, ty, &tile)?;
-            }
-            staged.clear();
-            Ok(pos)
-        };
-        let report = {
-            let residency_emit = residency.clone();
-            let mut emit = |y: usize, row: Vec<f32>| -> Result<(), GigapixelError> {
-                if staged.is_empty() {
-                    staged_first = y;
-                }
-                residency_emit.add(stage_bytes(1));
-                staged.push(row);
-                if staged.len() == t || y + 1 == z {
-                    let n = staged.len();
-                    positive += flush_band(&mut staged, staged_first, &mut writer)?;
-                    residency_emit.sub(stage_bytes(n));
-                }
-                Ok(())
-            };
-            self.drive(cache, residency, &mut cancel, &mut emit)?
-        };
-        writer.finish()?;
+        let mut rows = RowStager::new(TileStoreWriter::create(out_path, z, z, t)?, residency.clone());
+        let report = self.drive(cache, residency, &mut cancel, &mut |y, row| rows.push(y, row))?;
+        rows.writer.finish()?;
         Ok(StitchReport {
-            positive_fraction: positive as f64 / (z as f64 * z as f64),
+            positive_fraction: rows.positive as f64 / (z as f64 * z as f64),
             ..report
         })
     }

@@ -9,6 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use apf_core::lru::Charge;
 use apf_telemetry::{Gauge, Telemetry};
 
 struct Inner {
@@ -67,6 +68,17 @@ impl Residency {
     /// High-water mark since creation.
     pub fn peak(&self) -> usize {
         self.inner.peak.load(Ordering::Relaxed)
+    }
+}
+
+/// The tile cache charges its resident tiles here.
+impl Charge for Residency {
+    fn add(&self, bytes: usize) {
+        Residency::add(self, bytes);
+    }
+
+    fn sub(&self, bytes: usize) {
+        Residency::sub(self, bytes);
     }
 }
 

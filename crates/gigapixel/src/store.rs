@@ -431,7 +431,7 @@ impl Drop for TileStoreWriter {
 
 /// Read handle over a finished `APT1` container. Cheap to share behind an
 /// `Arc`; reads serialize on an internal file lock (decoding and checksum
-/// verification happen outside it in the cache layer's prefetch).
+/// verification happen outside it in the cache layer).
 pub struct TileStore {
     geom: TileGeometry,
     index: Vec<IndexEntry>,
@@ -551,8 +551,8 @@ impl TileStore {
     }
 
     /// Reads the raw payload bytes of a tile (no checksum verification);
-    /// the caller verifies. Split from decoding so the cache's prefetch can
-    /// hold the file lock only for the read itself.
+    /// the caller verifies. Split from decoding so the cache can hold the file
+    /// lock only for the read itself.
     pub fn read_tile_bytes(&self, tx: u32, ty: u32) -> Result<Vec<u8>, GigapixelError> {
         self.geom.check_tile(tx, ty)?;
         let e = self.index[self.geom.tile_index(tx, ty)];

@@ -80,19 +80,6 @@ pub struct CtSlice {
     pub labels: Vec<u8>,
 }
 
-impl CtSlice {
-    /// Binary mask of one organ class (1..=13).
-    pub fn class_mask(&self, class: u8) -> GrayImage {
-        let w = self.image.width();
-        let h = self.image.height();
-        GrayImage::from_raw(
-            w,
-            h,
-            self.labels.iter().map(|&l| if l == class { 1.0 } else { 0.0 }).collect(),
-        )
-    }
-}
-
 /// Configuration for the BTCV-like generator.
 #[derive(Debug, Clone)]
 pub struct BtcvConfig {
@@ -258,16 +245,6 @@ mod tests {
         let near_start = count(&gen.slice(0, 2));
         let mid = count(&gen.slice(0, 7));
         assert!(mid > near_start, "liver mid {} <= start {}", mid, near_start);
-    }
-
-    #[test]
-    fn class_mask_is_binary() {
-        let gen = BtcvGenerator::new(BtcvConfig::small(64, 8));
-        let s = gen.slice(2, 4);
-        let m = s.class_mask(6);
-        for &v in m.data() {
-            assert!(v == 0.0 || v == 1.0);
-        }
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl IntegralImage {
         let d = self.table[(y + h) * tw + x + w];
         d - b - c + a
     }
-
-    /// Mean pixel value over the rectangle.
-    pub fn rect_mean(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
-        self.rect_sum(x, y, w, h) / (w * h) as f64
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +87,6 @@ mod tests {
             let slow = brute(&img, x, y, w, h);
             assert!((fast - slow).abs() < 1e-6, "({},{},{},{}): {} vs {}", x, y, w, h, fast, slow);
         }
-    }
-
-    #[test]
-    fn rect_mean_of_constant() {
-        let img = GrayImage::from_raw(8, 8, vec![0.25; 64]);
-        let ii = IntegralImage::new(&img);
-        assert!((ii.rect_mean(2, 3, 4, 2) - 0.25).abs() < 1e-9);
     }
 
     #[test]

@@ -215,11 +215,6 @@ pub fn window_reverse(
     g.gather_rows(x, Arc::new(idx), [b, l, d])
 }
 
-/// Tiles a `[1, D]` row (e.g. a CLS token) `b` times -> `[b, 1, D]`.
-pub fn tile_rows(g: &mut Graph, x: Var, b: usize, d: usize) -> Var {
-    g.gather_rows(x, Arc::new(vec![0u32; b]), [b, 1, d])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,15 +318,5 @@ mod tests {
         let x = g.constant(t);
         let w = window_partition(&mut g, x, 1, 4, 1, 2, 0, GridOrder::RowMajor);
         assert_eq!(&g.value(w).to_vec()[..4], &[0., 1., 4., 5.]);
-    }
-
-    #[test]
-    fn tile_rows_broadcasts_cls_token() {
-        let t = Tensor::new([1, 3], vec![7., 8., 9.]);
-        let mut g = Graph::new();
-        let x = g.constant(t);
-        let tiled = tile_rows(&mut g, x, 4, 3);
-        assert_eq!(g.value(tiled).dims(), &[4, 1, 3]);
-        assert_eq!(g.value(tiled).to_vec(), [7., 8., 9.].repeat(4));
     }
 }

@@ -7,32 +7,30 @@
 //! viewer pans and re-pans the same region) skips blur, Canny, quadtree,
 //! and patch projection entirely.
 //!
-//! Three properties carry the design:
+//! The key carries the design: it is derived from the raw pixel bytes
+//! (or, for `APT1` containers, the per-tile CRC-32s the store already
+//! maintains) plus every preprocessing knob that shapes the output.
+//! Geometry, a CRC-32, and an independent 64-bit FNV-1a are folded into the
+//! key, so two buffers must collide in *both* checksums *and* share
+//! geometry and knobs before they can alias.
 //!
-//! * **Content addressing** — the key is derived from the raw pixel bytes
-//!   (or, for `APT1` containers, the per-tile CRC-32s the store already
-//!   maintains) plus every preprocessing knob that shapes the output.
-//!   Geometry, a CRC-32, and an independent 64-bit FNV-1a are folded into
-//!   the key, so two buffers must collide in *both* checksums *and* share
-//!   geometry and knobs before they can alias.
-//! * **Byte-budgeted LRU** — entries are charged their approximate resident
-//!   bytes; inserting past the budget evicts least-recently-used entries
-//!   first. The budget invariant (`resident <= budget`) holds after every
-//!   operation; an entry bigger than the whole budget is returned to the
-//!   caller but never cached.
-//! * **Single-flight** — when two identical requests race, exactly one
-//!   builds; the rest block on a condvar and receive the shared result.
-//!   A failed build wakes all waiters empty-handed (nothing is cached) so
-//!   a typed validation error propagates instead of being memoized.
+//! Storage is the shared [`apf_core::lru::Lru`]: entries are charged their
+//! approximate resident bytes, the least recently used are evicted before
+//! an insert so `resident <= budget` always holds, an entry bigger than the
+//! whole budget is returned uncached, and racing identical requests
+//! single-flight onto one build. A failed build caches nothing, so a typed
+//! validation error propagates instead of being memoized.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use apf_core::crc32;
+use apf_core::lru::{Lru, LruMetrics};
 use apf_core::patchify::PatchSequence;
 use apf_imaging::GrayImage;
-use apf_telemetry::{Counter, Gauge, Telemetry};
+use apf_telemetry::Telemetry;
 use serde::Serialize;
+
+pub use apf_core::lru::{CacheOutcome, CacheStats};
 
 /// Content identity of one input image / tile region. Derived from bytes,
 /// never from request ids, so identical pixels always address the same slot.
@@ -124,118 +122,33 @@ impl CacheKey {
     }
 }
 
-/// How a lookup was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum CacheOutcome {
-    /// Entry was resident; no work done.
-    Hit,
-    /// This caller built the entry.
-    Miss,
-    /// Another caller was already building the same key; this one waited
-    /// and shares the result (a deduplicated miss).
-    Coalesced,
-}
-
-/// Counters mirrored outside the telemetry registry so reports stay exact
-/// when telemetry is disabled.
-#[derive(Debug, Default, Clone, Serialize)]
-pub struct CacheStats {
-    /// Lookups satisfied from a resident entry.
-    pub hits: u64,
-    /// Lookups that built the entry themselves.
-    pub misses: u64,
-    /// Lookups deduplicated onto another caller's in-flight build.
-    pub coalesced: u64,
-    /// Entries evicted to respect the byte budget.
-    pub evictions: u64,
-    /// Builds that failed (typed errors propagate, nothing is cached).
-    pub build_failures: u64,
-    /// Entries too large to ever cache (returned uncached).
-    pub oversize_rejections: u64,
-    /// Bytes currently resident.
-    pub resident_bytes: u64,
-    /// Entries currently resident.
-    pub resident_entries: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction over all completed lookups (coalesced waits count as
-    /// hits for the "preprocessing skipped" interpretation).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.coalesced;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.hits + self.coalesced) as f64 / total as f64
+/// Telemetry handles under the serving cache's metric names; all inert
+/// when the engine telemetry is disabled.
+fn metrics(tel: &Telemetry) -> LruMetrics {
+    let outcome = |o: &'static str| {
+        tel.counter_with(
+            "apf_serve_batch_cache_lookups_total",
+            vec![("outcome", o.to_string())],
+            "Preprocessing-cache lookups by outcome",
+        )
+    };
+    LruMetrics {
+        hits: outcome("hit"),
+        misses: outcome("miss"),
+        coalesced: outcome("coalesced"),
+        evictions: tel.counter(
+            "apf_serve_batch_cache_evictions_total",
+            "Preprocessing-cache entries evicted by the byte budget",
+        ),
+        resident_bytes: tel.gauge(
+            "apf_serve_batch_cache_resident_bytes",
+            "Bytes of patch sequences resident in the preprocessing cache",
+        ),
+        resident_entries: tel.gauge(
+            "apf_serve_batch_cache_resident_entries",
+            "Entries resident in the preprocessing cache",
+        ),
     }
-}
-
-struct Entry {
-    seq: Arc<PatchSequence>,
-    bytes: usize,
-    last_used: u64,
-}
-
-enum Slot {
-    /// A builder is running; waiters block on the condvar.
-    Building,
-    /// Resident entry.
-    Ready(Entry),
-}
-
-struct Inner {
-    slots: HashMap<CacheKey, Slot>,
-    resident_bytes: usize,
-    tick: u64,
-    stats: CacheStats,
-}
-
-/// Telemetry handles; all inert when the engine telemetry is disabled.
-#[derive(Clone)]
-struct CacheTel {
-    hits: Counter,
-    misses: Counter,
-    coalesced: Counter,
-    evictions: Counter,
-    bytes: Gauge,
-    entries: Gauge,
-}
-
-impl CacheTel {
-    fn new(tel: &Telemetry) -> Self {
-        let outcome = |o: &'static str| {
-            tel.counter_with(
-                "apf_serve_batch_cache_lookups_total",
-                vec![("outcome", o.to_string())],
-                "Preprocessing-cache lookups by outcome",
-            )
-        };
-        CacheTel {
-            hits: outcome("hit"),
-            misses: outcome("miss"),
-            coalesced: outcome("coalesced"),
-            evictions: tel.counter(
-                "apf_serve_batch_cache_evictions_total",
-                "Preprocessing-cache entries evicted by the byte budget",
-            ),
-            bytes: tel.gauge(
-                "apf_serve_batch_cache_resident_bytes",
-                "Bytes of patch sequences resident in the preprocessing cache",
-            ),
-            entries: tel.gauge(
-                "apf_serve_batch_cache_resident_entries",
-                "Entries resident in the preprocessing cache",
-            ),
-        }
-    }
-}
-
-/// Bounded content-addressed cache of preprocessed patch sequences.
-pub struct PatchCache {
-    inner: Mutex<Inner>,
-    ready: Condvar,
-    budget_bytes: usize,
-    tm: CacheTel,
 }
 
 /// Approximate resident bytes of a cached sequence: pixel payload plus
@@ -245,145 +158,30 @@ fn sequence_bytes(seq: &PatchSequence) -> usize {
     seq.len() * (d * 4 + 48)
 }
 
+/// Bounded content-addressed cache of preprocessed patch sequences.
+pub struct PatchCache {
+    lru: Lru<CacheKey, PatchSequence>,
+}
+
 impl PatchCache {
     /// Creates a cache holding at most `budget_bytes` of patch sequences.
     pub fn new(budget_bytes: usize, tel: &Telemetry) -> Self {
-        PatchCache {
-            inner: Mutex::new(Inner {
-                slots: HashMap::new(),
-                resident_bytes: 0,
-                tick: 0,
-                stats: CacheStats::default(),
-            }),
-            ready: Condvar::new(),
-            budget_bytes,
-            tm: CacheTel::new(tel),
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
-    /// Bytes currently resident (always `<= budget_bytes`).
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).resident_bytes
+        PatchCache { lru: Lru::new(budget_bytes, sequence_bytes, metrics(tel)) }
     }
 
     /// Snapshot of the exact counters.
     pub fn stats(&self) -> CacheStats {
-        let st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut s = st.stats.clone();
-        s.resident_bytes = st.resident_bytes as u64;
-        s.resident_entries =
-            st.slots.values().filter(|s| matches!(s, Slot::Ready(_))).count() as u64;
-        s
+        self.lru.stats()
     }
 
-    /// Looks up `key`, building it with `build` on a miss. Exactly one
-    /// caller builds per key at a time; racers wait and share the result.
-    /// Errors propagate to the builder *and* every waiter (each waiter
-    /// retries the build itself, so transient failures cannot poison the
-    /// key), and failed builds are never cached.
+    /// Looks up `key`, building it with `build` on a miss; see
+    /// [`Lru::get_or_build`] for the single-flight and failure rules.
     pub fn get_or_build<E>(
         &self,
         key: CacheKey,
         build: impl FnOnce() -> Result<PatchSequence, E>,
     ) -> Result<(Arc<PatchSequence>, CacheOutcome), E> {
-        let mut waited = false;
-        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            // The tick is a monotonic recency stamp; bumping it on every
-            // loop turn (not just hits) keeps the borrow simple and the
-            // order intact.
-            st.tick += 1;
-            let tick = st.tick;
-            match st.slots.get_mut(&key) {
-                Some(Slot::Ready(entry)) => {
-                    entry.last_used = tick;
-                    let seq = Arc::clone(&entry.seq);
-                    if waited {
-                        st.stats.coalesced += 1;
-                        self.tm.coalesced.inc();
-                    } else {
-                        st.stats.hits += 1;
-                        self.tm.hits.inc();
-                    }
-                    return Ok((seq, if waited { CacheOutcome::Coalesced } else { CacheOutcome::Hit }));
-                }
-                Some(Slot::Building) => {
-                    // Someone else is building this key; wait for the verdict.
-                    waited = true;
-                    st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
-                    continue;
-                }
-                None => break,
-            }
-        }
-        // This caller owns the build.
-        st.slots.insert(key, Slot::Building);
-        drop(st);
-        let built = build();
-        let mut st = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match built {
-            Err(e) => {
-                st.slots.remove(&key);
-                st.stats.build_failures += 1;
-                drop(st);
-                self.ready.notify_all();
-                Err(e)
-            }
-            Ok(seq) => {
-                let bytes = sequence_bytes(&seq);
-                let seq = Arc::new(seq);
-                if bytes > self.budget_bytes {
-                    // Never violates the budget: hand the sequence back
-                    // uncached and release the waiters to build their own.
-                    st.slots.remove(&key);
-                    st.stats.oversize_rejections += 1;
-                    st.stats.misses += 1;
-                    self.tm.misses.inc();
-                    drop(st);
-                    self.ready.notify_all();
-                    return Ok((seq, CacheOutcome::Miss));
-                }
-                // Evict LRU entries until the newcomer fits.
-                while st.resident_bytes + bytes > self.budget_bytes {
-                    let victim = st
-                        .slots
-                        .iter()
-                        .filter_map(|(k, s)| match s {
-                            Slot::Ready(e) => Some((*k, e.last_used)),
-                            Slot::Building => None,
-                        })
-                        .min_by_key(|&(_, used)| used)
-                        .map(|(k, _)| k);
-                    let Some(victim) = victim else { break };
-                    if let Some(Slot::Ready(e)) = st.slots.remove(&victim) {
-                        st.resident_bytes -= e.bytes;
-                        st.stats.evictions += 1;
-                        self.tm.evictions.inc();
-                    }
-                }
-                st.tick += 1;
-                let tick = st.tick;
-                st.slots.insert(
-                    key,
-                    Slot::Ready(Entry { seq: Arc::clone(&seq), bytes, last_used: tick }),
-                );
-                st.resident_bytes += bytes;
-                st.stats.misses += 1;
-                self.tm.misses.inc();
-                self.tm.bytes.set(st.resident_bytes as f64);
-                self.tm.entries.set(
-                    st.slots.values().filter(|s| matches!(s, Slot::Ready(_))).count() as f64,
-                );
-                drop(st);
-                self.ready.notify_all();
-                Ok((seq, CacheOutcome::Miss))
-            }
-        }
+        self.lru.get_or_build(key, build)
     }
 }
 
@@ -410,20 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_miss_and_stats_track() {
-        let cache = PatchCache::new(1 << 20, &Telemetry::disabled());
-        let k = key(1, 1);
-        let (a, o1) = cache.get_or_build::<()>(k, || Ok(seq_of(4, 8, 0.5))).unwrap();
-        assert_eq!(o1, CacheOutcome::Miss);
-        let (b, o2) = cache.get_or_build::<()>(k, || panic!("must not rebuild")).unwrap();
-        assert_eq!(o2, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
-        assert!(s.hit_rate() > 0.49 && s.hit_rate() < 0.51);
-    }
-
-    #[test]
     fn distinct_variants_do_not_share_entries() {
         let cache = PatchCache::new(1 << 20, &Telemetry::disabled());
         let mut k2 = key(7, 7);
@@ -434,43 +218,16 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_budget_and_prefers_lru() {
-        // Each 8-patch pm=4 sequence costs 8 * (64 + 48) = 896 bytes;
-        // budget fits exactly two.
+    fn sequences_are_weighed_and_evicted_under_the_budget() {
+        // 8 patches of 4x4 weigh 8 x (64 + 48) = 896 bytes: two fit in 1800.
         let cache = PatchCache::new(1800, &Telemetry::disabled());
-        cache.get_or_build::<()>(key(1, 1), || Ok(seq_of(4, 8, 0.1))).unwrap();
-        cache.get_or_build::<()>(key(2, 2), || Ok(seq_of(4, 8, 0.2))).unwrap();
-        // Touch key 1 so key 2 is the LRU victim.
-        cache.get_or_build::<()>(key(1, 1), || panic!("resident")).unwrap();
-        cache.get_or_build::<()>(key(3, 3), || Ok(seq_of(4, 8, 0.3))).unwrap();
-        assert!(cache.resident_bytes() <= 1800);
-        // Key 1 survived, key 2 was evicted.
-        let (_, o1) = cache.get_or_build::<()>(key(1, 1), || panic!("evicted the MRU")).unwrap();
-        assert_eq!(o1, CacheOutcome::Hit);
-        let (_, o2) = cache.get_or_build::<()>(key(2, 2), || Ok(seq_of(4, 8, 0.2))).unwrap();
-        assert_eq!(o2, CacheOutcome::Miss);
-        assert_eq!(cache.stats().evictions, 2);
-    }
-
-    #[test]
-    fn oversize_entries_are_returned_but_never_cached() {
-        let cache = PatchCache::new(100, &Telemetry::disabled());
-        let (seq, o) = cache.get_or_build::<()>(key(9, 9), || Ok(seq_of(4, 8, 0.5))).unwrap();
-        assert_eq!(o, CacheOutcome::Miss);
-        assert_eq!(seq.len(), 8);
-        assert_eq!(cache.resident_bytes(), 0);
-        assert_eq!(cache.stats().oversize_rejections, 1);
-    }
-
-    #[test]
-    fn failed_builds_propagate_and_are_not_cached() {
-        let cache = PatchCache::new(1 << 20, &Telemetry::disabled());
-        let err = cache.get_or_build(key(5, 5), || Err("bad pixels")).unwrap_err();
-        assert_eq!(err, "bad pixels");
-        // The key is free again: a later build succeeds.
-        let (_, o) = cache.get_or_build::<()>(key(5, 5), || Ok(seq_of(4, 2, 0.0))).unwrap();
-        assert_eq!(o, CacheOutcome::Miss);
-        assert_eq!(cache.stats().build_failures, 1);
+        for i in 0..3 {
+            cache.get_or_build::<()>(key(i, 0), || Ok(seq_of(4, 8, 0.0))).unwrap();
+        }
+        let s = cache.stats();
+        assert_eq!((s.resident_bytes, s.resident_entries, s.evictions), (2 * 896, 2, 1));
+        let (_, o) = cache.get_or_build::<()>(key(0, 0), || Ok(seq_of(4, 8, 0.0))).unwrap();
+        assert_eq!(o, CacheOutcome::Miss, "the least recently used entry was the victim");
     }
 
     #[test]
