@@ -23,6 +23,15 @@
 //!    `crc32` must beat the byte-wise `crc32_bytewise` reference by
 //!    [`MIN_CRC32_SPEEDUP`]x. It runs no backend code, so it is measured
 //!    once rather than per backend.
+//! 6. **Pool** (`pool_gemm`): packed GEMM at two `train_unetr` shapes
+//!    ([`POOL_SHAPES`]) on the calling thread, where the `rayon` pool
+//!    helps, against the same call on a thread marked inline. With at least
+//!    two pool threads the pooled call must be [`MIN_POOL_SPEEDUP`]x faster
+//!    at every shape, with bit-identical output; on one core the row is
+//!    skipped with a printed reason.
+//!
+//! Rows 1-5 run on a thread marked inline, both sides alike, so their
+//! ratios compare kernel to kernel on one core whatever the pool does.
 //!
 //! The kernel gates apply to the **best-detected** backend (what
 //! production dispatch selects); the other backends' numbers are
@@ -62,8 +71,19 @@ const MIN_ATTN_BWD_SPEEDUP: f64 = 1.5;
 const MIN_GELU_SPEEDUP: f64 = 4.0;
 /// Acceptance bound for slice-by-16 CRC-32 vs the byte-wise reference.
 const MIN_CRC32_SPEEDUP: f64 = 3.0;
+/// Acceptance bound for packed GEMM on the pool vs inline, on >= 2 threads.
+const MIN_POOL_SPEEDUP: f64 = 1.4;
 /// Re-measure attempts before the gate gives up on a noisy machine.
 const MAX_ATTEMPTS: usize = 4;
+
+/// Packed-GEMM shapes (m x k x n) of the pool row, both from one
+/// `train_unetr` step: the MLP down-projection (4 images x 256 tokens,
+/// 256 -> 64) and an im2col-shaped product (64 x 64 pixels, 16 channels x
+/// 3 x 3 taps, 64 outputs).
+const POOL_SHAPES: [[usize; 3]; 2] = [[1024, 256, 64], [4096, 144, 64]];
+/// Iterations of the pool row per `--iters`: its calls take 1-3 ms, so it
+/// needs more samples than the other rows for the minimum to settle.
+const POOL_ITERS_SCALE: usize = 8;
 
 const GEMM_M: usize = 256;
 const GEMM_K: usize = 768;
@@ -118,6 +138,11 @@ struct KernelReport {
     crc32_bytewise_mb_per_s: f64,
     crc32_speedup: f64,
     min_crc32_speedup: f64,
+    pool_threads: usize,
+    pool_gemm: Vec<PoolRun>,
+    /// `None` when the pool has one thread and the row is skipped.
+    pool_speedup: Option<f64>,
+    min_pool_speedup: f64,
     gating_backend: String,
     per_backend: Vec<BackendRun>,
     counters: Counters,
@@ -149,6 +174,16 @@ impl BackendRun {
             && self.attn_bwd_speedup >= MIN_ATTN_BWD_SPEEDUP
             && self.gelu_speedup >= MIN_GELU_SPEEDUP
     }
+}
+
+/// One `pool_gemm` shape: the same packed GEMM with the pool's help and on
+/// a thread marked inline.
+#[derive(Serialize, Clone)]
+struct PoolRun {
+    shape: [usize; 3],
+    pooled_s: f64,
+    inline_s: f64,
+    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -398,6 +433,65 @@ fn backward_operands() -> [Vec<f32>; 6] {
     [q, k, v, out, lse, d_out]
 }
 
+/// Times `gemm_packed` at `[m, k, n]` on the calling thread (pooled) and
+/// on a scoped thread marked inline; asserts both give the same bits.
+fn time_pool_shape(iters: usize, [m, k, n]: [usize; 3], a: &[f32], b: &[f32]) -> PoolRun {
+    let mut c = vec![0.0f32; m * n];
+    let pooled_s = min_time(iters, || gemm_packed(a, b, std::hint::black_box(&mut c), m, k, n));
+    let (inline_s, c_inline) = std::thread::scope(|s| {
+        s.spawn(|| {
+            rayon::mark_thread_inline();
+            let mut c = vec![0.0f32; m * n];
+            let secs = min_time(iters, || gemm_packed(a, b, std::hint::black_box(&mut c), m, k, n));
+            (secs, c)
+        })
+        .join()
+        .expect("inline GEMM thread")
+    });
+    assert!(
+        c.iter().zip(&c_inline).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "pooled and inline GEMM differ at {m}x{k}x{n}"
+    );
+    PoolRun { shape: [m, k, n], pooled_s, inline_s, speedup: inline_s / pooled_s }
+}
+
+/// The `pool_gemm` row: every shape of [`POOL_SHAPES`], re-measured (minima
+/// folded) while the slowest speedup is below the gate.
+fn measure_pool(iters: usize) -> Vec<PoolRun> {
+    let operands: Vec<(Vec<f32>, Vec<f32>)> = POOL_SHAPES
+        .iter()
+        .map(|&[m, k, n]| {
+            let a = Tensor::rand_uniform([m, k], -1.0, 1.0, 13).to_vec();
+            (a, Tensor::rand_uniform([k, n], -1.0, 1.0, 14).to_vec())
+        })
+        .collect();
+    let measure = || -> Vec<PoolRun> {
+        POOL_SHAPES
+            .iter()
+            .zip(&operands)
+            .map(|(&s, (a, b))| time_pool_shape(iters, s, a, b))
+            .collect()
+    };
+    let slowest = |runs: &[PoolRun]| runs.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
+    let mut runs = measure();
+    for attempt in 0..MAX_ATTEMPTS {
+        if slowest(&runs) >= MIN_POOL_SPEEDUP {
+            break;
+        }
+        eprintln!(
+            "attempt {}: pooled GEMM {:.2}x below gate; re-measuring",
+            attempt + 1,
+            slowest(&runs)
+        );
+        for (acc, next) in runs.iter_mut().zip(measure()) {
+            acc.pooled_s = acc.pooled_s.min(next.pooled_s);
+            acc.inline_s = acc.inline_s.min(next.inline_s);
+            acc.speedup = acc.inline_s / acc.pooled_s;
+        }
+    }
+    runs
+}
+
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
@@ -405,6 +499,18 @@ fn main() {
 
     let tel = Telemetry::enabled();
     Telemetry::install_global(tel.clone());
+
+    // The pool row first, while this thread may still use the pool; then
+    // mark it, so every other row runs inline on both of its sides.
+    let pool_threads = rayon::current_num_threads();
+    let pool_gemm =
+        if pool_threads >= 2 { measure_pool(iters * POOL_ITERS_SCALE) } else { Vec::new() };
+    let pool_speedup = (pool_threads >= 2)
+        .then(|| pool_gemm.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min));
+    if pool_speedup.is_none() {
+        println!("pool_gemm skipped: the rayon pool has {pool_threads} thread (one core), nothing to compare");
+    }
+    rayon::mark_thread_inline();
 
     let inp = Inputs {
         a: Tensor::rand_uniform([GEMM_M, GEMM_K], -1.0, 1.0, 1).to_vec(),
@@ -529,7 +635,8 @@ fn main() {
     force_backend(None).expect("restoring default backend");
 
     let best = per_backend[0].clone();
-    let passed = best.passes() && crc_speedup >= MIN_CRC32_SPEEDUP;
+    let pool_ok = pool_speedup.is_none_or(|s| s >= MIN_POOL_SPEEDUP);
+    let passed = best.passes() && crc_speedup >= MIN_CRC32_SPEEDUP && pool_ok;
 
     let snap = tel.snapshot();
     let count = |name: &str| snap.get(name, &[]).map_or(0.0, |m| m.value);
@@ -598,6 +705,13 @@ fn main() {
             format!("{:.4} s vs {:.4} s ({:.2}x)", run.gelu_s, gelu_scalar_s, run.gelu_speedup),
         ]);
     }
+    for run in &pool_gemm {
+        let [m, k, n] = run.shape;
+        rows.push(vec![
+            format!("pool_gemm {m}x{k}x{n}, {pool_threads} threads vs inline"),
+            format!("{:.5} s vs {:.5} s ({:.2}x)", run.pooled_s, run.inline_s, run.speedup),
+        ]);
+    }
     rows.push(vec![
         format!("gates on [{}]", gating.name()),
         format!(
@@ -656,6 +770,10 @@ fn main() {
             crc32_bytewise_mb_per_s: mb_per_s(crc_bytewise_s),
             crc32_speedup: crc_speedup,
             min_crc32_speedup: MIN_CRC32_SPEEDUP,
+            pool_threads,
+            pool_gemm,
+            pool_speedup,
+            min_pool_speedup: MIN_POOL_SPEEDUP,
             gating_backend: gating.name().to_string(),
             per_backend,
             counters,
@@ -705,14 +823,24 @@ fn main() {
         mb_per_s(crc_s),
         mb_per_s(crc_bytewise_s)
     );
+    if let Some(speedup) = pool_speedup {
+        assert!(
+            speedup >= MIN_POOL_SPEEDUP,
+            "pooled GEMM speedup {:.2}x below the {:.1}x gate on {} threads",
+            speedup,
+            MIN_POOL_SPEEDUP,
+            pool_threads
+        );
+    }
     println!(
         "kernel gate passed on {}: SGEMM {:.2}x, fused attention {:.2}x, \
-         attention backward {:.2}x, bias+GELU {:.2}x; CRC-32 {:.2}x",
+         attention backward {:.2}x, bias+GELU {:.2}x; CRC-32 {:.2}x; pooled GEMM {}",
         gating.name(),
         best.gemm_speedup,
         best.attn_speedup,
         best.attn_bwd_speedup,
         best.gelu_speedup,
-        crc_speedup
+        crc_speedup,
+        pool_speedup.map_or("skipped (one core)".to_string(), |s| format!("{s:.2}x"))
     );
 }

@@ -380,6 +380,9 @@ impl<M: TokenSegModel + Send> DataParallelEngine<M> {
                     let poisoned = poison.contains(&pos);
                     let grad_scale = (shard * w) as f32 / b as f32;
                     scope.spawn(move || {
+                        // One thread per simulated rank: its kernels run
+                        // inline, not on the shared pool.
+                        apf_tensor::kernels::mark_thread_inline();
                         if delay_ms > 0 {
                             std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                         }

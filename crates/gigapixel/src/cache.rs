@@ -11,9 +11,11 @@
 //! [`TileCache::prefetch`] warms a set of tiles in Morton (Z-curve) order —
 //! the same order the streaming quadtree and the stitching driver consume
 //! tiles in, so a prefetched batch is consumed before it is evicted.
-//! Prefetch goes through the same single-flight lookup as [`TileCache::get`];
+//! Prefetch goes through the same single-flight lookup as [`TileCache::get`],
+//! one tile after another on the calling thread (its `par_iter` is a
+//! sequential iterator, so `try_for_each` stops at the first failed tile);
 //! payload reads hold the store's file lock, while checksum verification
-//! and f32 decoding run outside it on rayon iterators.
+//! and f32 decoding run outside it.
 //!
 //! Hits, misses, evictions, and resident bytes are exported as
 //! `apf_gigapixel_cache_*` metrics; bulk operations open `gigapixel.*`
@@ -117,8 +119,8 @@ impl TileCache {
 
     /// Warms `tiles` (deduplicated) in Morton order through [`Self::get`],
     /// so a tile another reader is already fetching is waited on, not read
-    /// twice. Payload reads serialize on the store's file lock; CRC
-    /// verification and decoding fan out on rayon.
+    /// twice. The tiles are read in order on the calling thread; the first
+    /// failure ends the prefetch.
     pub fn prefetch(&self, tiles: &[(u32, u32)]) -> Result<(), GigapixelError> {
         let _span = self.tel.span("gigapixel.prefetch");
         let mut wanted: Vec<(u32, u32)> = tiles.to_vec();

@@ -548,6 +548,9 @@ impl<'m> SlideSegmenter<'m> {
                 std::thread::Builder::new()
                     .name(format!("{}-{}", FABRIC_THREAD_PREFIX, wi))
                     .spawn_scoped(scope, move || {
+                        // The stitch workers are the parallelism: their
+                        // kernels run inline, not on the shared pool.
+                        apf_tensor::kernels::mark_thread_inline();
                         let _ctx_guard = ctx.map(TraceContext::install);
                         let mut nth = 0u64;
                         loop {

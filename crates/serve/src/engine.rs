@@ -509,6 +509,9 @@ impl ServeEngine {
                 thread::Builder::new()
                     .name(format!("apf-serve-worker-{idx}"))
                     .spawn(move || {
+                        // One of `cfg.workers` parallel workers: its kernels
+                        // run inline so the cores are not oversubscribed.
+                        apf_tensor::kernels::mark_thread_inline();
                         batch_worker_loop(idx, &shared, &cfg, cache.as_deref(), &btel, &stats)
                     })
                     .expect("spawn worker")

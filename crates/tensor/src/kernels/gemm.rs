@@ -27,7 +27,8 @@ use crate::tensor::Tensor;
 use super::backend::{self, MicroKernelBackend, MAX_MR};
 use super::stats;
 
-/// Minimum FLOP count before the naive kernel spawns rayon tasks.
+/// Minimum FLOP count before the naive kernel hands its rows to the `rayon`
+/// pool.
 const PAR_FLOPS: usize = 1 << 16;
 /// Below this FLOP count packing costs more than it saves; dispatch to the
 /// naive kernel instead. Shared with the conv lowering, which uses it to

@@ -29,6 +29,13 @@
 //! and `1e-5·|g|` backward, with no subnormal output and each output a
 //! pure function of its own inputs (see [`fused`]).
 
+/// Marks the calling thread so every kernel it runs stays on it, in index
+/// order, instead of splitting over the `rayon` pool. Threads that are
+/// themselves one of several parallel workers (serve engine workers, stitch
+/// and fabric workers, simulated ranks) call it once at start, so the pool
+/// does not put more runnable threads than cores behind them.
+pub use rayon::mark_thread_inline;
+
 pub mod attention;
 pub mod backend;
 pub mod conv;

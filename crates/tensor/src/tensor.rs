@@ -12,8 +12,10 @@ use rayon::prelude::*;
 
 use crate::shape::Shape;
 
-/// Elementwise parallelism threshold: below this we stay sequential, since
-/// rayon's task overhead dominates for tiny tensors.
+/// Elementwise threshold: at or above it the maps go through the `par_*`
+/// chains. The in-tree `rayon` runs those chains (`par_iter().map()`,
+/// `.zip()`) as sequential iterators: memory-bound elementwise work stays on
+/// the calling thread.
 pub(crate) const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A dense row-major f32 tensor.
@@ -239,13 +241,10 @@ impl Tensor {
         }
     }
 
-    /// Sum of all elements.
+    /// Sum of all elements, as one sequential left fold at every size, so
+    /// the bits never depend on a thread count or a partition.
     pub fn sum(&self) -> f32 {
-        if self.numel() >= PAR_THRESHOLD {
-            self.data.par_iter().sum()
-        } else {
-            self.data.iter().sum()
-        }
+        self.data.iter().sum()
     }
 
     /// Mean of all elements.
@@ -433,6 +432,23 @@ mod tests {
         assert_eq!(a.mul(&b).to_vec(), vec![10., 40., 90., 160.]);
         assert_eq!(b.div(&a).to_vec(), vec![10., 10., 10., 10.]);
         assert_eq!(a.scale(2.0).to_vec(), vec![2., 4., 6., 8.]);
+    }
+
+    #[test]
+    fn sum_is_the_sequential_left_fold_above_the_parallel_threshold() {
+        // Mixed magnitudes, so any other association order changes the bits.
+        let t = Tensor::rand_uniform([4 * PAR_THRESHOLD + 5], -1.0, 1.0, 21)
+            .map(|v| v * 10f32.powi((v.to_bits() % 7) as i32 - 3));
+        let fold = t.data().iter().fold(0.0f32, |acc, &v| acc + v);
+        assert_eq!(t.sum().to_bits(), fold.to_bits());
+        let (evens, odds) = t.data().iter().enumerate().fold((0.0f32, 0.0f32), |(e, o), (i, &v)| {
+            if i % 2 == 0 {
+                (e + v, o)
+            } else {
+                (e, o + v)
+            }
+        });
+        assert_ne!((evens + odds).to_bits(), fold.to_bits(), "the input must detect a reorder");
     }
 
     #[test]
