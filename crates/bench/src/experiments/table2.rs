@@ -1,34 +1,36 @@
-//! Table II reproduction: end-to-end training speedup of APF over uniform
-//! UNETR at the same segmentation quality, resolutions 512² to 65,536² on
-//! 1 - 2,048 GPUs.
+//! Table II: end-to-end training speedup of APF over uniform UNETR at the
+//! same segmentation quality, resolutions 512² to 65,536² on 1 - 2,048
+//! GPUs.
 //!
 //! What is real vs. modeled here:
 //! - **Sequence lengths / depths**: the actual quadtree runs on generated
-//!   pathology images at every resolution up to `--max-res` (memory-bound);
+//!   pathology images at every resolution up to a memory-bound maximum;
 //!   larger resolutions use a power-law extrapolation fitted to the
-//!   measured points. These validate that the paper's fixed training
-//!   lengths `L` (the perfect squares in its sequence-length column) are
-//!   reachable: our raw leaf counts must not exceed them by much.
+//!   measured points. These are raw leaf counts at minimal patch 4; the
+//!   paper's `L` is the fixed training length at each row's coarser APF
+//!   patch, so the two share only their sub-quadratic growth.
 //! - **sec/image**: a three-term cost model — encoder FLOPs `enc(N)`
 //!   (linear + quadratic attention terms), decoder work per *output* pixel,
 //!   and per-input-pixel data movement shared by both methods — plus ring
 //!   all-reduce on the Frontier fabric. Exactly three constants are
 //!   calibrated, on three anchor cells (UNETR@512², UNETR@65,536²,
 //!   APF@65,536²); the other 11 cells are predictions.
-//! - **Time-to-convergence speedup**: sec/image speedup times the
-//!   convergence-rate advantage (`--conv-factor`, default the paper's 1.7,
-//!   independently observable in fig4_stability).
-//!
-//! Usage: `cargo run --release -p apf-bench --bin table2_speedup
-//!         [--max-res 2048] [--conv-factor 1.7] [--quick]`
+//! - **Time-to-convergence speedup**: sec/image speedup times the paper's
+//!   convergence-rate advantage of 1.7 (observable in `fig4`).
 
-use apf_bench::{print_table, save_json, Args};
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
+use apf_core::stats::{geomean, mean};
 use apf_distsim::allreduce::ring_allreduce_seconds;
 use apf_distsim::cost::{step_cost, ModelDims};
 use apf_distsim::gpu::{Fabric, GpuSpec};
 use apf_imaging::paip::{PaipConfig, PaipGenerator};
 use serde::Serialize;
+
+use crate::harness::fit_power_law;
+use crate::{print_table, SoakReport};
+
+/// The paper's convergence-rate advantage of APF.
+const CONV_FACTOR: f64 = 1.7;
 
 /// One paper row of Table II.
 struct PaperRow {
@@ -71,51 +73,30 @@ struct OutRow {
     anchor: bool,
 }
 
-fn main() {
-    let args = Args::parse();
-    let quick = args.flag("quick");
-    let max_res = args.get("max-res", if quick { 512 } else { 2048 });
-    let samples = args.get("samples", if quick { 1 } else { 3 });
-    let conv_factor = args.get("conv-factor", 1.7f64);
+pub fn run(quick: bool) -> SoakReport {
+    let (max_res, samples) = if quick { (512, 1) } else { (2048, 3) };
 
     // ---- Real quadtree sequence lengths (APF's actual claim) ----
-    println!("Measuring quadtree sequence lengths up to {}^2 ...", max_res);
-    let mut measured: Vec<(f64, f64)> = Vec::new();
-    let mut seq_at = std::collections::HashMap::new();
-    let mut res_list: Vec<usize> = vec![256, 512, 1024, 2048, 4096];
-    res_list.retain(|&r| r <= max_res);
-    for &r in &res_list {
+    println!("Measuring quadtree sequence lengths up to {max_res}^2 ...");
+    let mut measured = Vec::new();
+    for r in [256, 512, 1024, 2048, 4096].into_iter().filter(|&r| r <= max_res) {
         let gen = PaipGenerator::new(PaipConfig::at_resolution(r));
         let patcher = AdaptivePatcher::new(PatcherConfig::for_resolution(r).with_patch_size(4));
-        let mut lens = Vec::new();
-        let mut depth = 0u8;
+        let (mut lens, mut depth) = (Vec::new(), 0u8);
         for i in 0..samples {
             let tree = patcher.tree(&gen.generate(i).image);
             lens.push(tree.len() as f64);
             depth = depth.max(tree.max_depth_reached);
         }
-        let mean = apf_core::stats::mean(&lens);
-        println!("  {:>6}^2 -> raw leaf count {:>9.0}, depth {}", r, mean, depth);
-        measured.push(((r as f64).ln(), mean.ln()));
-        seq_at.insert(r, mean);
+        let avg = mean(&lens);
+        println!("  {r:>6}^2 -> raw leaf count {avg:>9.0}, depth {depth}");
+        measured.push((r as f64, avg));
     }
-    let n = measured.len() as f64;
-    let sx: f64 = measured.iter().map(|(x, _)| x).sum();
-    let sy: f64 = measured.iter().map(|(_, y)| y).sum();
-    let sxx: f64 = measured.iter().map(|(x, _)| x * x).sum();
-    let sxy: f64 = measured.iter().map(|(x, y)| x * y).sum();
-    let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-    let intercept = (sy - slope * sx) / n;
-    println!(
-        "fitted growth law: leaf count ~ Z^{:.2} (uniform grid at fixed P would be Z^2) — \
-         the paper reports the same sub-quadratic, near-linear growth",
-        slope
-    );
-    let seq_of = |res: usize| -> (f64, bool) {
-        match seq_at.get(&res) {
-            Some(&l) => (l, false),
-            None => ((intercept + slope * (res as f64).ln()).exp(), true),
-        }
+    let (slope, intercept) = fit_power_law(&measured);
+    println!("fitted growth law: leaf count ~ Z^{slope:.2} (uniform grid at fixed P would be Z^2)");
+    let seq_of = |res: usize| match measured.iter().find(|&&(r, _)| r == res as f64) {
+        Some(&(_, l)) => (l, false),
+        None => ((intercept + slope * (res as f64).ln()).exp(), true),
     };
 
     // ---- Three-anchor cost calibration ----
@@ -138,11 +119,7 @@ fn main() {
     let a = (r512.uni_sec * sust - bc * px512) / enc(16384);
     let c = (r64k.apf_sec * sust - a * enc(r64k.apf_seq) - bc * apf64k_outpx) / (px64k - apf64k_outpx);
     let b = bc - c;
-    println!(
-        "calibration: encoder scale {:.3}, decoder {:.3e} FLOP/out-px, data path {:.3e} FLOP-equiv/in-px",
-        a, b, c
-    );
-
+    println!("calibration: encoder scale {a:.3}, decoder {b:.3e} FLOP/out-px, data {c:.3e} FLOP/in-px");
     let predict = |train_seq: usize, patch: usize, res: usize, gpus: usize| -> f64 {
         let out_px = (train_seq as f64) * (patch as f64).powi(2);
         let in_px = (res as f64).powi(2);
@@ -153,30 +130,20 @@ fn main() {
     // ---- Assemble ----
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    let mut speed_preds = Vec::new();
     for (i, p) in PAPER.iter().enumerate() {
         let (tree_seq, extrapolated) = seq_of(p.res);
         let anchor = i == 0 || i == PAPER.len() - 1;
         let apf_sec = predict(p.apf_seq, p.apf_patch, p.res, p.gpus);
         let uni_sec = predict(16384, p.uni_patch, p.res, p.gpus);
         let speedup = uni_sec / apf_sec;
-        let conv = speedup * conv_factor;
-        speed_preds.push(speedup);
-
-        rows.push(vec![
-            format!("{}^2/{}", p.res, p.gpus),
-            format!("APF-{}", p.apf_patch),
-            format!("{:.0}{}", tree_seq, if extrapolated { "*" } else { "" }),
-            format!("{}", p.apf_seq),
-            format!("{:.3}{}", apf_sec, if anchor { "†" } else { "" }),
-            format!("{:.3}", p.apf_sec),
-            format!("{:.3}{}", uni_sec, if anchor { "†" } else { "" }),
-            format!("{:.3}", p.uni_sec),
-            format!("{:.2}x", speedup),
-            format!("{:.2}x", p.speedup),
-            format!("{:.2}x", conv),
-            format!("{:.2}x", p.conv_speedup),
-        ]);
+        let conv = speedup * CONV_FACTOR;
+        let (star, dagger) = (if extrapolated { "*" } else { "" }, if anchor { "†" } else { "" });
+        let config = [format!("{}^2/{}", p.res, p.gpus), format!("APF-{}", p.apf_patch)];
+        let seqs = [format!("{tree_seq:.0}{star}"), p.apf_seq.to_string()];
+        let apf_secs = [format!("{apf_sec:.3}{dagger}"), format!("{:.3}", p.apf_sec)];
+        let uni_secs = [format!("{uni_sec:.3}{dagger}"), format!("{:.3}", p.uni_sec)];
+        let speedups = [speedup, p.speedup, conv, p.conv_speedup].map(|x| format!("{x:.2}x"));
+        rows.push(config.into_iter().chain(seqs).chain(apf_secs).chain(uni_secs).chain(speedups).collect());
         out.push(OutRow {
             res: p.res,
             gpus: p.gpus,
@@ -194,29 +161,22 @@ fn main() {
             anchor,
         });
     }
-
-    print_table(
-        "Table II — APF end-to-end speedup at iso-quality (predicted vs paper)",
-        &[
-            "config", "model", "tree seq", "L(paper)", "s/img", "(paper)",
-            "UNETR s/img", "(paper)", "speedup", "(paper)", "conv spd", "(paper)",
-        ],
-        &rows,
-    );
-    println!("\n* = leaf count extrapolated beyond --max-res via the fitted power law.");
+    let headers = [
+        "config", "model", "tree seq", "L(paper)", "s/img", "(paper)", "UNETR s/img", "(paper)", "speedup", "(paper)",
+        "conv spd", "(paper)",
+    ];
+    print_table("Table II — APF end-to-end speedup at iso-quality (predicted vs paper)", &headers, &rows);
+    println!("\n* = leaf count extrapolated beyond {max_res}^2 via the fitted power law.");
     println!("† = calibration anchor (3 constants fitted on UNETR@512, UNETR@65536, APF@65536).");
-    println!(
-        "tree seq column is the raw leaf count at min patch 4; the paper's L is the fixed \
-         training length at that row's (coarser) APF patch, so the two are not directly comparable \
-         beyond their common sub-quadratic growth."
-    );
-    let geo = apf_core::stats::geomean(&speed_preds);
-    let geo_conv = geo * conv_factor;
-    let paper_geo = apf_core::stats::geomean(&PAPER.iter().map(|p| p.speedup).collect::<Vec<_>>());
-    let paper_conv = apf_core::stats::geomean(&PAPER.iter().map(|p| p.conv_speedup).collect::<Vec<_>>());
-    println!(
-        "geomean speedup: {:.2}x (paper {:.2}x); to-convergence: {:.2}x (paper headline 6.9x, table geomean {:.2}x)",
-        geo, paper_geo, geo_conv, paper_conv
-    );
-    save_json("table2_speedup", &out);
+    let geo = geomean(&out.iter().map(|o| o.speedup_pred).collect::<Vec<_>>());
+    let paper_geo = geomean(&PAPER.iter().map(|p| p.speedup).collect::<Vec<_>>());
+    let conv = geo * CONV_FACTOR;
+    println!("geomean speedup: {geo:.2}x (paper {paper_geo:.2}x); to-convergence: {conv:.2}x (paper 6.9x)");
+    let mut r = super::report("table2", 0, quick, &[("max_res", max_res), ("samples", samples)]);
+    r.count("leaf_growth_exponent", slope);
+    r.count("geomean_speedup", geo);
+    r.detail("rows", &out);
+    r.record("leaf_growth_subquadratic", slope < 2.0);
+    r.record("apf_faster_at_every_row", out.iter().all(|o| o.speedup_pred > 1.0));
+    r
 }

@@ -1,15 +1,9 @@
-//! Shared experiment scaffolding: dataset builders and quick-training
-//! helpers used by the per-table/figure binaries.
+//! Shared experiment scaffolding: dataset builders, image comparisons and
+//! the fixed-length patcher the quality experiments train on.
 
 use apf_core::pipeline::{AdaptivePatcher, PatcherConfig};
 use apf_imaging::image::GrayImage;
 use apf_imaging::paip::{PaipConfig, PaipGenerator};
-use apf_models::rearrange::GridOrder;
-use apf_models::unetr::{Unetr2d, UnetrConfig};
-use apf_train::data::TokenSegDataset;
-use apf_train::optim::AdamWConfig;
-use apf_train::trainer::{EpochStats, SegTrainer};
-use serde::Serialize;
 
 /// Generates `n` PAIP-like `(image, mask)` pairs at `res`.
 pub fn paip_pairs(res: usize, n: usize) -> Vec<(GrayImage, GrayImage)> {
@@ -62,138 +56,54 @@ pub fn grid_side_for(tokens: usize) -> usize {
     }
 }
 
-/// A ready-to-train segmentation setup: model + train/val datasets.
-pub struct SegSetup {
-    /// The trainer (owns the model).
-    pub trainer: SegTrainer<Unetr2d>,
-    /// Training split.
-    pub train: TokenSegDataset,
-    /// Validation split.
-    pub val: TokenSegDataset,
-    /// Sequence length fed to the model.
-    pub seq_len: usize,
-    /// Patch size.
-    pub patch: usize,
-}
-
 /// Split value used by the scaled-down quality experiments: finer than the
 /// paper's 100 because synthetic slides at 64-256px have proportionally
 /// fewer edge pixels per quadrant than 512-65,536px WSIs.
-pub const QUALITY_SPLIT_VALUE: f64 = 16.0;
+pub(crate) const QUALITY_SPLIT_VALUE: f64 = 16.0;
 
-/// Builds an APF-UNETR setup: quadtree patching at `patch` with sequence
-/// length chosen from the data (nearest power-of-four grid, pad or drop).
-pub fn apf_unetr_setup(
-    pairs: &[(GrayImage, GrayImage)],
-    res: usize,
-    patch: usize,
-    split_at: usize,
-    lr: f32,
-    seed: u64,
-) -> SegSetup {
-    // Measure the natural sequence lengths on the images, then fix L to the
-    // nearest power-of-four grid around the MEDIAN: Algorithm 1 randomly
-    // drops patches from longer-than-L images and pads shorter ones, so L
-    // is a budget, not a maximum.
-    let probe = AdaptivePatcher::new(
-        PatcherConfig::for_resolution(res)
-            .with_patch_size(patch)
-            .with_split_value(QUALITY_SPLIT_VALUE),
-    );
-    let mut lens: Vec<usize> = pairs.iter().map(|(img, _)| probe.tree(img).len()).collect();
+/// The quality experiments' patcher at minimal patch `patch`: natural
+/// lengths when `target_len` is `None`, padded or dropped to it otherwise.
+pub(crate) fn quality_patcher(res: usize, patch: usize, target_len: Option<usize>) -> AdaptivePatcher {
+    let cfg = PatcherConfig::for_resolution(res)
+        .with_patch_size(patch)
+        .with_split_value(QUALITY_SPLIT_VALUE);
+    AdaptivePatcher::new(if let Some(l) = target_len { cfg.with_target_len(l) } else { cfg })
+}
+
+/// Which natural sequence length the fixed length `L` is sized to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LenPick {
+    /// The median: `L` is a budget, so longer images drop patches.
+    Median,
+    /// The maximum: no image drops a patch.
+    Max,
+}
+
+/// Grid side `s` (so `L = s²`) for `images` at minimal patch `patch`: the
+/// natural leaf counts are probed, `pick` chooses one and
+/// [`grid_side_for`] rounds it to a power-of-two grid. 16 tokens when
+/// there is no image.
+pub(crate) fn grid_side<'a>(imgs: impl IntoIterator<Item = &'a GrayImage>, res: usize, patch: usize, pick: LenPick) -> usize {
+    let probe = quality_patcher(res, patch, None);
+    let mut lens: Vec<usize> = imgs.into_iter().map(|img| probe.tree(img).len()).collect();
     lens.sort_unstable();
-    let median_len = lens.get(lens.len() / 2).copied().unwrap_or(16);
-    let side = grid_side_for(median_len);
-    let l = side * side;
-    let patcher = AdaptivePatcher::new(
-        PatcherConfig::for_resolution(res)
-            .with_patch_size(patch)
-            .with_split_value(QUALITY_SPLIT_VALUE)
-            .with_target_len(l),
-    );
-    let ds = TokenSegDataset::adaptive(pairs, &patcher);
-    let train = ds.subset(&(0..split_at).collect::<Vec<_>>());
-    let val = ds.subset(&(split_at..pairs.len()).collect::<Vec<_>>());
-    let cfg = UnetrConfig::small(side, patch, GridOrder::Morton);
-    let model = Unetr2d::new(cfg, seed);
-    SegSetup {
-        trainer: SegTrainer::new(model, AdamWConfig { lr, ..Default::default() }),
-        train,
-        val,
-        seq_len: l,
-        patch,
-    }
+    let len = match pick {
+        LenPick::Median => lens.get(lens.len() / 2),
+        LenPick::Max => lens.last(),
+    };
+    grid_side_for(len.copied().unwrap_or(16))
 }
 
-/// Builds a uniform-grid UNETR setup at `patch`.
-pub fn uniform_unetr_setup(
-    pairs: &[(GrayImage, GrayImage)],
-    res: usize,
-    patch: usize,
-    split_at: usize,
-    lr: f32,
-    seed: u64,
-) -> SegSetup {
-    let side = res / patch;
-    let ds = TokenSegDataset::uniform(pairs, patch);
-    let train = ds.subset(&(0..split_at).collect::<Vec<_>>());
-    let val = ds.subset(&(split_at..pairs.len()).collect::<Vec<_>>());
-    let cfg = UnetrConfig::small(side, patch, GridOrder::RowMajor);
-    let model = Unetr2d::new(cfg, seed);
-    SegSetup {
-        trainer: SegTrainer::new(model, AdamWConfig { lr, ..Default::default() }),
-        train,
-        val,
-        seq_len: side * side,
-        patch,
-    }
-}
-
-/// Outcome of a quick training run.
-#[derive(Debug, Clone, Serialize)]
-pub struct RunOutcome {
-    /// Best validation dice over all epochs (%), the number papers report.
-    pub dice: f64,
-    /// Final-epoch validation dice (%).
-    pub final_dice: f64,
-    /// Mean wall-clock seconds per image of training.
-    pub sec_per_image: f64,
-    /// Sequence length used.
-    pub seq_len: usize,
-    /// Epoch at which `dice_target` was first reached (None = never).
-    pub epochs_to_target: Option<usize>,
-    /// Full per-epoch history.
-    pub history: Vec<EpochStats>,
-}
-
-/// Trains a setup for `epochs` epochs and summarizes.
-pub fn run_training(
-    setup: &mut SegSetup,
-    epochs: usize,
-    batch: usize,
-    dice_target: f64,
-) -> RunOutcome {
-    let mut history = Vec::with_capacity(epochs);
-    let mut epochs_to_target = None;
-    for e in 0..epochs {
-        let stats = setup.trainer.run_epoch(&setup.train, &setup.val, batch, true);
-        if epochs_to_target.is_none() && stats.val_dice >= dice_target {
-            epochs_to_target = Some(e);
-        }
-        history.push(stats);
-    }
-    let final_dice = history.last().map(|s| s.val_dice).unwrap_or(0.0);
-    let dice = history.iter().map(|s| s.val_dice).fold(0.0, f64::max);
-    let total_s: f64 = history.iter().map(|s| s.train_seconds).sum();
-    let images = (setup.train.len() * epochs).max(1);
-    RunOutcome {
-        dice,
-        final_dice,
-        sec_per_image: total_s / images as f64,
-        seq_len: setup.seq_len,
-        epochs_to_target,
-        history,
-    }
+/// Least-squares fit of `y ~ e^c · x^k` in log-log space; returns `(k, c)`.
+pub(crate) fn fit_power_law(points: &[(f64, f64)]) -> (f64, f64) {
+    let n = points.len() as f64;
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let sx: f64 = logs.iter().map(|(x, _)| x).sum();
+    let sy: f64 = logs.iter().map(|(_, y)| y).sum();
+    let sxx: f64 = logs.iter().map(|(x, _)| x * x).sum();
+    let sxy: f64 = logs.iter().map(|(x, y)| x * y).sum();
+    let slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
+    (slope, (sy - slope * sx) / n)
 }
 
 #[cfg(test)]
@@ -233,22 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn apf_setup_has_shorter_sequences_than_uniform() {
-        let pairs = paip_pairs(64, 3);
-        let apf = apf_unetr_setup(&pairs, 64, 4, 2, 1e-3, 1);
-        let uni = uniform_unetr_setup(&pairs, 64, 4, 2, 1e-3, 1);
-        assert!(apf.seq_len < uni.seq_len, "{} vs {}", apf.seq_len, uni.seq_len);
-        assert_eq!(apf.train.len(), 2);
-        assert_eq!(apf.val.len(), 1);
+    fn max_pick_never_gives_a_smaller_grid_than_median() {
+        let pairs = paip_pairs(64, 5);
+        let images = || pairs.iter().map(|(img, _)| img);
+        let median = grid_side(images(), 64, 4, LenPick::Median);
+        let max = grid_side(images(), 64, 4, LenPick::Max);
+        assert!(median <= max && max < 64 / 4, "median {median}, max {max}");
+        assert_eq!(grid_side(std::iter::empty(), 64, 4, LenPick::Max), 4);
     }
 
     #[test]
-    fn quick_run_produces_history() {
-        let pairs = paip_pairs(64, 3);
-        let mut setup = apf_unetr_setup(&pairs, 64, 8, 2, 1e-3, 2);
-        let out = run_training(&mut setup, 2, 2, 101.0);
-        assert_eq!(out.history.len(), 2);
-        assert!(out.sec_per_image > 0.0);
-        assert!(out.epochs_to_target.is_none());
+    fn power_law_fit_recovers_exponent_and_scale() {
+        let pts: Vec<(f64, f64)> = [2.0f64, 4.0, 8.0].iter().map(|&x| (x, 3.0 * x * x)).collect();
+        let (k, c) = fit_power_law(&pts);
+        assert!((k - 2.0).abs() < 1e-12 && (c - 3f64.ln()).abs() < 1e-12, "{k} {c}");
     }
 }

@@ -1,9 +1,9 @@
-//! Table rendering and JSON result archiving for the experiment binaries.
+//! Table rendering and JSON result archiving for the experiments and soaks.
 //!
 //! Every experiment prints an aligned text table (paper values next to
-//! measured values) and archives machine-readable rows under
-//! `results/<experiment>.json` for EXPERIMENTS.md. The soak scenarios share
-//! one schema, [`SoakReport`].
+//! measured values) and archives machine-readable results under
+//! `results/`. The soak scenarios and the paper's experiments share one
+//! schema, [`SoakReport`].
 
 use std::fs;
 use std::path::PathBuf;
@@ -81,14 +81,19 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
     }
 }
 
-/// The one report schema of the `soak` scenarios, archived as
-/// `results/soak_<scenario>.json`:
+/// The one report schema of the `soak` scenarios and the `repro`
+/// experiments, archived as `results/soak_<scenario>.json` or
+/// `results/repro_<experiment>.json`:
 /// `{scenario, seed, params, verdicts: {name: bool}, counts: {name: number}, detail}`.
 ///
 /// [`SoakReport::check`] records a verdict and asserts it in the same call,
 /// so each gated fact has one name: the one the process panics with and
 /// the one `scripts/check.sh` greps for as `"name": true`.
+/// [`SoakReport::record`] only records: a paper claim that does not
+/// reproduce is a finding, archived as `"name": false`.
 pub struct SoakReport {
+    /// Archive file stem under `results/`.
+    file: String,
     scenario: String,
     seed: u64,
     params: Vec<(String, f64)>,
@@ -102,6 +107,7 @@ impl SoakReport {
     /// An empty report for `scenario`, run with `seed` and `params`.
     pub fn new(scenario: &str, seed: u64, params: &[(&str, f64)]) -> Self {
         SoakReport {
+            file: format!("soak_{scenario}"),
             scenario: scenario.to_string(),
             seed,
             params: params.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
@@ -111,11 +117,21 @@ impl SoakReport {
         }
     }
 
+    /// An empty report for experiment `name` of the `repro` binary.
+    pub fn repro(name: &str, seed: u64, params: &[(&str, f64)]) -> Self {
+        SoakReport { file: format!("repro_{name}"), ..Self::new(name, seed, params) }
+    }
+
     /// Records verdict `name` and panics with `name` and `msg` when it is
     /// false (the soak binary is the gate: any failed verdict fails the run).
     pub fn check(&mut self, name: &str, ok: bool, msg: impl std::fmt::Display) {
         self.verdicts.push((name.to_string(), ok));
         assert!(ok, "soak {}: verdict `{name}` failed: {msg}", self.scenario);
+    }
+
+    /// Records verdict `name` without asserting it.
+    pub fn record(&mut self, name: &str, ok: bool) {
+        self.verdicts.push((name.to_string(), ok));
     }
 
     /// Records a number under `counts`.
@@ -130,10 +146,9 @@ impl SoakReport {
         self.detail.push((name.to_string(), json));
     }
 
-    /// Prints the verdicts and counts, then archives the report as
-    /// `results/soak_<scenario>.json`.
+    /// Prints the verdicts and counts, then archives the report.
     pub fn finish(&self) {
-        let title = format!("soak {}", self.scenario);
+        let title = self.file.replacen('_', " ", 1);
         let counts: Vec<Vec<String>> = self
             .counts
             .iter()
@@ -143,8 +158,9 @@ impl SoakReport {
         let verdicts: Vec<Vec<String>> =
             self.verdicts.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect();
         print_table(&format!("{title} — verdicts"), &["verdict", "held"], &verdicts);
-        save_json(&format!("soak_{}", self.scenario), self);
-        println!("{title}: all {} verdicts held", self.verdicts.len());
+        save_json(&self.file, self);
+        let held = self.verdicts.iter().filter(|(_, ok)| *ok).count();
+        println!("{title}: {held} of {} verdicts held", self.verdicts.len());
     }
 }
 
@@ -234,6 +250,15 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn record_archives_a_false_verdict_without_panicking() {
+        let mut r = SoakReport::repro("unit_repro", 11, &[]);
+        r.record("claim_reproduced", false);
+        let json = serde_json::to_string_pretty(&r).unwrap();
+        assert!(json.contains("\"claim_reproduced\": false"), "{json}");
+        assert_eq!(r.file, "repro_unit_repro");
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use fabric::{
 };
 pub use fault::{FaultKind, RecoveryEvent};
 pub use gpu::{Fabric, GpuSpec};
-pub use tree_allreduce::{tree_allreduce_mean, tree_allreduce_mean_checked, tree_allreduce_seconds};
+pub use tree_allreduce::tree_allreduce_seconds;

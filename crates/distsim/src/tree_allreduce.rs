@@ -1,15 +1,10 @@
-//! Binary-tree all-reduce (reduce-to-root + broadcast) — the classic
-//! alternative to the ring, better for small messages (O(log P) latency)
-//! and worse for large ones (root link carries full buffers).
-//!
-//! Implemented both as an analytic cost model and as a real multi-threaded
-//! algorithm, so the ring-vs-tree tradeoff the fabric model predicts can be
-//! checked against measured thread timings (`cargo bench -p apf-bench`
-//! `ring_allreduce` vs the `allreduce_comparison` experiment).
+//! Binary-tree all-reduce (reduce-to-root + broadcast) as an analytic
+//! cost model — the classic alternative to the ring, better for small
+//! messages (O(log P) latency) and worse for large ones (the root link
+//! carries full buffers). `repro --exp scaling` prints it next to
+//! [`ring_allreduce_seconds`](crate::allreduce::ring_allreduce_seconds) at
+//! Frontier scale.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-
-use crate::allreduce::{merge_errors, open, seal, AllReduceError, Message};
 use crate::gpu::Fabric;
 
 /// Predicted seconds for a tree all-reduce of `bytes` over `gpus` devices:
@@ -24,158 +19,9 @@ pub fn tree_allreduce_seconds(bytes: f64, gpus: usize, fabric: &Fabric) -> f64 {
     hops * (bytes / bw + lat)
 }
 
-/// Real tree all-reduce across threads: every worker contributes one buffer
-/// and receives the elementwise **mean**.
-///
-/// Reduction pairs workers at stride 1, 2, 4, ... (non-power-of-two counts
-/// fold the tail into the tree); the root scales and broadcasts back down
-/// the same edges. Messages are CRC-checked; no corruption is injected
-/// here, so the checked variant cannot fail.
-pub fn tree_allreduce_mean(buffers: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    tree_allreduce_mean_checked(buffers, &[]).expect("uncorrupted tree all-reduce cannot fail")
-}
-
-/// Tree all-reduce with checksum verification and optional fault injection:
-/// each rank in `corrupt_ranks` flips one bit of its first outgoing message
-/// (after the CRC is computed), whether that message is a reduce-phase send
-/// to its parent or a broadcast-phase send to a child.
-///
-/// # Errors
-/// [`AllReduceError::Corrupted`] when a receiver detects a bad checksum;
-/// the collective aborts so callers can retry with their retained inputs.
-pub fn tree_allreduce_mean_checked(
-    buffers: Vec<Vec<f32>>,
-    corrupt_ranks: &[usize],
-) -> Result<Vec<Vec<f32>>, AllReduceError> {
-    let p = buffers.len();
-    assert!(p > 0, "no buffers");
-    let n = buffers[0].len();
-    assert!(buffers.iter().all(|b| b.len() == n), "buffer length mismatch");
-    if p == 1 {
-        return Ok(buffers);
-    }
-
-    // Channel matrix: pair (from, to) used during reduce and reversed
-    // during broadcast.
-    let mut txs: Vec<Vec<Option<Sender<Message>>>> = (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    let mut rxs: Vec<Vec<Option<Receiver<Message>>>> = (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    let mut connect = |a: usize, b: usize| {
-        if txs[a][b].is_none() {
-            let (t1, r1) = bounded::<Message>(1);
-            txs[a][b] = Some(t1);
-            rxs[b][a] = Some(r1);
-            let (t2, r2) = bounded::<Message>(1);
-            txs[b][a] = Some(t2);
-            rxs[a][b] = Some(r2);
-        }
-    };
-    // Plan the reduction schedule so we know which edges to create.
-    let mut stride = 1;
-    let mut schedule: Vec<(usize, usize)> = Vec::new(); // (child, parent)
-    while stride < p {
-        let mut r = 0;
-        while r + stride < p {
-            if r % (2 * stride) == 0 {
-                schedule.push((r + stride, r));
-            }
-            r += stride;
-        }
-        stride *= 2;
-    }
-    for &(c, par) in &schedule {
-        connect(c, par);
-    }
-
-    let inv_p = 1.0f32 / p as f32;
-    let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = buffers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut buf)| {
-                let my_tx: Vec<Option<Sender<Message>>> = txs[rank].iter_mut().map(|t| t.take()).collect();
-                let my_rx: Vec<Option<Receiver<Message>>> = rxs[rank].iter_mut().map(|r| r.take()).collect();
-                let schedule = schedule.clone();
-                let mut corrupt_pending = corrupt_ranks.contains(&rank);
-                scope.spawn(move || -> Result<Vec<f32>, AllReduceError> {
-                    let fail = AllReduceError::Disconnected { observed_by: rank };
-                    // Reduce phase.
-                    for &(child, parent) in &schedule {
-                        if rank == child {
-                            let (msg, applied) = seal(std::mem::take(&mut buf), corrupt_pending);
-                            corrupt_pending &= !applied;
-                            my_tx[parent].as_ref().expect("edge").send(msg).map_err(|_| fail)?;
-                        } else if rank == parent {
-                            let raw = my_rx[child].as_ref().expect("edge").recv().map_err(|_| fail)?;
-                            let incoming = open(raw, rank)?;
-                            for (d, s) in buf.iter_mut().zip(incoming.iter()) {
-                                *d += s;
-                            }
-                        }
-                    }
-                    if rank == 0 {
-                        for v in &mut buf {
-                            *v *= inv_p;
-                        }
-                    }
-                    // Broadcast phase: reverse schedule.
-                    for &(child, parent) in schedule.iter().rev() {
-                        if rank == parent {
-                            let (msg, applied) = seal(buf.clone(), corrupt_pending);
-                            corrupt_pending &= !applied;
-                            my_tx[child].as_ref().expect("edge").send(msg).map_err(|_| fail)?;
-                        } else if rank == child {
-                            let raw = my_rx[parent].as_ref().expect("edge").recv().map_err(|_| fail)?;
-                            buf = open(raw, rank)?;
-                        }
-                    }
-                    Ok(buf)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).collect()
-    });
-    merge_errors(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn expect_mean(inputs: &[Vec<f32>]) -> Vec<f32> {
-        let p = inputs.len() as f32;
-        (0..inputs[0].len())
-            .map(|i| inputs.iter().map(|b| b[i]).sum::<f32>() / p)
-            .collect()
-    }
-
-    #[test]
-    fn tree_matches_mean_for_all_worker_counts() {
-        for p in [2usize, 3, 4, 5, 8, 9] {
-            let inputs: Vec<Vec<f32>> = (0..p)
-                .map(|r| (0..57).map(|i| ((r * 31 + i * 3) % 17) as f32 - 8.0).collect())
-                .collect();
-            let expect = expect_mean(&inputs);
-            let out = tree_allreduce_mean(inputs);
-            assert_eq!(out.len(), p);
-            for o in &out {
-                for (a, b) in o.iter().zip(expect.iter()) {
-                    assert!((a - b).abs() < 1e-4, "p={}", p);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_and_ring_agree() {
-        let inputs: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..100).map(|i| (r * 100 + i) as f32).collect())
-            .collect();
-        let ring = crate::allreduce::ring_allreduce_mean(inputs.clone());
-        let tree = tree_allreduce_mean(inputs);
-        for (a, b) in ring[0].iter().zip(tree[0].iter()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
 
     #[test]
     fn cost_model_tradeoff_ring_vs_tree() {
@@ -190,46 +36,5 @@ mod tests {
         let t_tree = tree_allreduce_seconds(large, 64, &f);
         let t_ring = crate::allreduce::ring_allreduce_seconds(large, 64, &f);
         assert!(t_ring < t_tree, "ring {} vs tree {}", t_ring, t_tree);
-    }
-
-    #[test]
-    fn single_worker_identity() {
-        let out = tree_allreduce_mean(vec![vec![5.0, 6.0]]);
-        assert_eq!(out, vec![vec![5.0, 6.0]]);
-    }
-
-    #[test]
-    fn tree_corruption_is_detected_for_every_rank() {
-        // Rank 0 only sends during broadcast; leaves only send during
-        // reduce — exercise both paths.
-        for p in [2usize, 3, 4, 5] {
-            for bad_rank in 0..p {
-                let inputs: Vec<Vec<f32>> =
-                    (0..p).map(|r| (0..13).map(|i| (r * 7 + i) as f32).collect()).collect();
-                let err = tree_allreduce_mean_checked(inputs, &[bad_rank])
-                    .expect_err("corruption must be detected");
-                assert!(
-                    matches!(err, AllReduceError::Corrupted { .. }),
-                    "p={} bad_rank={} got {:?}",
-                    p,
-                    bad_rank,
-                    err
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn checked_tree_without_faults_matches_mean() {
-        let inputs: Vec<Vec<f32>> = (0..5)
-            .map(|r| (0..23).map(|i| ((r * 13 + i * 5) % 11) as f32 - 5.0).collect())
-            .collect();
-        let expect = expect_mean(&inputs);
-        let out = tree_allreduce_mean_checked(inputs, &[]).expect("no faults injected");
-        for o in &out {
-            for (a, b) in o.iter().zip(expect.iter()) {
-                assert!((a - b).abs() < 1e-4);
-            }
-        }
     }
 }

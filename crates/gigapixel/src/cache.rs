@@ -12,8 +12,8 @@
 //! the same order the streaming quadtree and the stitching driver consume
 //! tiles in, so a prefetched batch is consumed before it is evicted.
 //! Prefetch goes through the same single-flight lookup as [`TileCache::get`],
-//! one tile after another on the calling thread (its `par_iter` is a
-//! sequential iterator, so `try_for_each` stops at the first failed tile);
+//! one tile after another on the calling thread (stopping at the first
+//! failed tile);
 //! payload reads hold the store's file lock, while checksum verification
 //! and f32 decoding run outside it.
 //!
@@ -27,7 +27,6 @@ use apf_core::lru::{Lru, LruMetrics};
 use apf_core::morton_encode;
 use apf_imaging::GrayImage;
 use apf_telemetry::{Counter, Histogram, Telemetry};
-use rayon::prelude::*;
 
 use crate::error::GigapixelError;
 use crate::residency::Residency;
@@ -126,7 +125,7 @@ impl TileCache {
         let mut wanted: Vec<(u32, u32)> = tiles.to_vec();
         wanted.sort_by_key(|&(tx, ty)| morton_encode(tx, ty));
         wanted.dedup();
-        wanted.par_iter().try_for_each(|&(tx, ty)| self.get(tx, ty).map(drop))
+        wanted.iter().try_for_each(|&(tx, ty)| self.get(tx, ty).map(drop))
     }
 
     /// Assembles an arbitrary pixel region by gathering the covering tiles

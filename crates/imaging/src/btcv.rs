@@ -9,8 +9,6 @@
 //! Predictions are made slice-by-slice in 2D and re-assembled into a 3D
 //! volume, exactly as the paper does for APF on BTCV.
 
-use rayon::prelude::*;
-
 use crate::image::GrayImage;
 use crate::noise::fbm;
 
@@ -144,8 +142,8 @@ impl BtcvGenerator {
         let inv = 1000.0 / res as f32;
         let mut img = vec![0.0f32; res * res];
         let mut labels = vec![0u8; res * res];
-        img.par_chunks_mut(res)
-            .zip(labels.par_chunks_mut(res))
+        img.chunks_mut(res)
+            .zip(labels.chunks_mut(res))
             .enumerate()
             .for_each(|(y, (irow, lrow))| {
                 let v = y as f32 * inv;

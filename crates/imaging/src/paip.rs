@@ -20,8 +20,6 @@
 //!
 //! All sampling is deterministic in `(seed, sample_index)`.
 
-use rayon::prelude::*;
-
 use crate::image::GrayImage;
 use crate::noise::{fbm, value_noise};
 
@@ -178,8 +176,8 @@ impl PaipGenerator {
 
         let mut img = vec![0.0f32; w * h];
         let mut mask = vec![0.0f32; w * h];
-        img.par_chunks_mut(w)
-            .zip(mask.par_chunks_mut(w))
+        img.chunks_mut(w)
+            .zip(mask.chunks_mut(w))
             .enumerate()
             .for_each(|(dy, (irow, mrow))| {
                 let v = (y0 + dy) as f32 * inv;

@@ -1,7 +1,5 @@
 //! 2D pooling kernels (NCHW).
 
-use rayon::prelude::*;
-
 use crate::tensor::Tensor;
 
 /// Max-pool with square window `k`, stride `k` (non-overlapping).
@@ -20,8 +18,8 @@ pub fn maxpool2d(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
     let mut idx = vec![0u32; b * c * out_len];
     let src = x.data();
 
-    out.par_chunks_mut(out_len)
-        .zip(idx.par_chunks_mut(out_len))
+    out.chunks_mut(out_len)
+        .zip(idx.chunks_mut(out_len))
         .enumerate()
         .for_each(|(map, (o, ix))| {
             let base = map * h * w;

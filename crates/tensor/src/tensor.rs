@@ -8,15 +8,8 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::shape::Shape;
-
-/// Elementwise threshold: at or above it the maps go through the `par_*`
-/// chains. The in-tree `rayon` runs those chains (`par_iter().map()`,
-/// `.zip()`) as sequential iterators: memory-bound elementwise work stays on
-/// the calling thread.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 14;
 
 /// A dense row-major f32 tensor.
 #[derive(Clone)]
@@ -167,11 +160,7 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32 + Sync + Send) -> Tensor {
-        let data: Vec<f32> = if self.numel() >= PAR_THRESHOLD {
-            self.data.par_iter().map(|&x| f(x)).collect()
-        } else {
-            self.data.iter().map(|&x| f(x)).collect()
-        };
+        let data: Vec<f32> = self.data.iter().map(|&x| f(x)).collect();
         Tensor::new(self.shape.clone(), data)
     }
 
@@ -185,19 +174,8 @@ impl Tensor {
             "zip_with shape mismatch: {} vs {}",
             self.shape, other.shape
         );
-        let data: Vec<f32> = if self.numel() >= PAR_THRESHOLD {
-            self.data
-                .par_iter()
-                .zip(other.data.par_iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect()
-        } else {
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect()
-        };
+        let data: Vec<f32> =
+            self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect();
         Tensor::new(self.shape.clone(), data)
     }
 
@@ -229,15 +207,8 @@ impl Tensor {
     /// In-place accumulate: `self += other` (same shape).
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        let dst = self.data_mut();
-        if dst.len() >= PAR_THRESHOLD {
-            dst.par_iter_mut()
-                .zip(other.data.par_iter())
-                .for_each(|(d, &s)| *d += s);
-        } else {
-            for (d, &s) in dst.iter_mut().zip(other.data.iter()) {
-                *d += s;
-            }
+        for (d, &s) in self.data_mut().iter_mut().zip(other.data.iter()) {
+            *d += s;
         }
     }
 
@@ -435,9 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_is_the_sequential_left_fold_above_the_parallel_threshold() {
+    fn sum_is_the_sequential_left_fold_at_a_large_size() {
         // Mixed magnitudes, so any other association order changes the bits.
-        let t = Tensor::rand_uniform([4 * PAR_THRESHOLD + 5], -1.0, 1.0, 21)
+        let t = Tensor::rand_uniform([65_541], -1.0, 1.0, 21)
             .map(|v| v * 10f32.powi((v.to_bits() % 7) as i32 - 3));
         let fold = t.data().iter().fold(0.0f32, |acc, &v| acc + v);
         assert_eq!(t.sum().to_bits(), fold.to_bits());

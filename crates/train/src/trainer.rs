@@ -342,19 +342,6 @@ impl<M: TokenSegModel> SegTrainer<M> {
         self.epoch += 1;
         stats
     }
-
-    /// Trains for `epochs` epochs, returning the history.
-    pub fn fit(
-        &mut self,
-        train: &TokenSegDataset,
-        val: &TokenSegDataset,
-        epochs: usize,
-        batch_size: usize,
-    ) -> Vec<EpochStats> {
-        (0..epochs)
-            .map(|_| self.run_epoch(train, val, batch_size, true))
-            .collect()
-    }
 }
 
 /// Trainer for classifiers (ViT, HIPT, APF-ViT).

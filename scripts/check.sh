@@ -78,6 +78,37 @@ verdicts slide single_window_matches_full_image_path multi_window_matches_dense_
   distributed_bit_identical_to_serial peak_resident_within_budget output_covers_slide \
   one_cost_per_window speedup_4_workers_at_least_3x speedup_8_workers_at_least_5x
 
+echo "==> repro --exp all --quick (every table, figure, the scaling study and both ablations)"
+# Each experiment archives results/repro_<name>.json in the soak schema and
+# records each paper claim as a named verdict. A claim that does not
+# reproduce at --quick scale is archived as false: a finding, not a failed
+# gate. The gate is that every experiment runs to completion and archives
+# every claim, true or false. The runs write to a temp dir, so the committed
+# full-scale results are never overwritten.
+repro_dir=$(mktemp -d)
+trap 'rm -rf "$repro_dir"' EXIT
+APF_RESULTS_DIR="$repro_dir" cargo run --release -q -p apf-bench --bin repro -- --exp all --quick
+claims() { # claims <experiment> <name>...: each must be archived, true or false
+  local report="$repro_dir/repro_$1.json"
+  shift
+  for v in "$@"; do
+    grep -Eq "\"$v\": (true|false)" "$report" || { echo "$report: verdict $v missing" >&2; exit 1; }
+  done
+}
+claims table1 dense_attention_grows_faster_than_windowed apf_sequence_growth_subquadratic
+claims overhead overhead_grows_with_resolution
+claims fig3 seq_len_grows_as_split_value_falls patch_size_grows_with_split_value
+claims table2 leaf_growth_subquadratic apf_faster_at_every_row
+claims scaling more_workers_step_faster ring_beats_tree_at_2048_gpus
+claims table5 apf_small_beats_vit_and_hipt apf_large_no_better_than_vit
+claims table4 apf_dice_ge_uniform_unetr apf_faster_than_transformer_baselines
+claims ablation_droprate drop_fraction_falls_as_l_grows heaviest_drop_costs_dice
+claims ablation_order morton_fold_ge_row_major ordered_tokens_ge_shuffled
+claims table3 apf_dice_ge_best_baseline transformers_beat_unet apf_sequence_shorter_than_uniform_grid
+claims fig4 apf_final_loss_below_unet_and_uniform smaller_uniform_patch_steadier
+claims fig2 apf_dice_ge_uniform_on_rendered_sample apf_dice_ge_unet_on_rendered_sample
+claims fig1 adaptive_sequence_shorter_than_uniform apf_faster_per_image apf_dice_ge_uniform
+
 echo "==> telemetry_overhead gate (disabled hooks, flight recorder included, < 2%)"
 rm -f results/telemetry_overhead.json
 cargo run --release -q -p apf-bench --bin telemetry_overhead
