@@ -7,7 +7,7 @@
 //! be flattened into a `[L, P_m * P_m]` token tensor for any transformer.
 
 use apf_imaging::image::GrayImage;
-use apf_imaging::resize::resize_area;
+use apf_imaging::resize::box_project;
 use apf_tensor::tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -119,20 +119,19 @@ impl PatchSequence {
 }
 
 /// Projects each leaf of `leaves` onto a `pm x pm` patch by area-averaging
-/// its image region. Leaves must already be Z-ordered.
+/// its image region in place. Leaves must already be Z-ordered.
 pub fn extract_patches(img: &GrayImage, leaves: &[LeafRegion], pm: usize) -> PatchSequence {
     assert!(pm >= 1, "patch size must be positive");
+    let w = img.width();
     let patches: Vec<Patch> = leaves
         .iter()
         .map(|leaf| {
-            let crop = img.crop(leaf.x as usize, leaf.y as usize, leaf.size as usize, leaf.size as usize);
-            let proj = if leaf.size as usize == pm {
-                crop
-            } else {
-                resize_area(&crop, pm, pm)
-            };
+            let (x, y, s) = (leaf.x as usize, leaf.y as usize, leaf.size as usize);
+            assert!(x + s <= w && y + s <= img.height(), "leaf outside the image");
+            let mut pixels = vec![0.0; pm * pm];
+            box_project(&img.data()[y * w + x..], w, s, s, pm, pm, &mut pixels);
             Patch {
-                pixels: proj.data().to_vec(),
+                pixels,
                 region: Some(*leaf),
             }
         })

@@ -30,7 +30,7 @@
 use apf_core::{LeafRegion, Patch, PatchError, PatchSequence, QuadTree, QuadTreeConfig};
 use apf_imaging::image::GrayImage;
 use apf_imaging::integral::IntegralImage;
-use apf_imaging::resize_area;
+use apf_imaging::resize::box_project;
 use apf_telemetry::Telemetry;
 
 use crate::cache::TileCache;
@@ -260,10 +260,11 @@ pub fn extract_patches_streaming(
     assert!(pm >= 1, "patch size must be positive");
     let mut patches = Vec::with_capacity(leaves.len());
     for leaf in leaves {
-        let crop =
-            cache.read_region(leaf.x as usize, leaf.y as usize, leaf.size as usize, leaf.size as usize)?;
-        let proj = if leaf.size as usize == pm { crop } else { resize_area(&crop, pm, pm) };
-        patches.push(Patch { pixels: proj.into_data(), region: Some(*leaf) });
+        let s = leaf.size as usize;
+        let crop = cache.read_region(leaf.x as usize, leaf.y as usize, s, s)?;
+        let mut pixels = vec![0.0; pm * pm];
+        box_project(crop.data(), s, s, s, pm, pm, &mut pixels);
+        patches.push(Patch { pixels, region: Some(*leaf) });
     }
     Ok(PatchSequence { patches, patch_size: pm, resolution: cache.geometry().width })
 }

@@ -1,14 +1,14 @@
-//! Separable Gaussian blur and Sobel gradients.
+//! Separable Gaussian blur.
 //!
-//! Both filters work on whole rows: each source row is replicate-padded
-//! once into a scratch buffer, then the blur runs one axpy per kernel tap
-//! across the row and Sobel reads three padded rows, so the inner loops
-//! are straight slices the compiler vectorises across pixels. Every
-//! pixel still evaluates the per-pixel definition's scalar expression in
-//! its tap order, with no fused multiply-add, so the output is
-//! bit-identical to that definition (kept in this module's tests as the
-//! oracle), and everything downstream of it (Canny, the quadtree, the
-//! streamed gigapixel build) stays exact.
+//! The blur works on whole rows: each source row is replicate-padded once
+//! into a scratch buffer, then one axpy per kernel tap runs across the
+//! row, so the inner loops are straight slices the compiler vectorises
+//! across pixels. Every pixel still evaluates the per-pixel definition's
+//! scalar expression in its tap order, with no fused multiply-add, so the
+//! output is bit-identical to that definition (kept in this module's tests
+//! as the oracle), and everything downstream of it (Canny, the quadtree,
+//! the streamed gigapixel build) stays exact. Sobel gradients are fused
+//! into [`crate::canny::canny`], which pads rows the same way.
 
 use crate::image::GrayImage;
 
@@ -78,45 +78,18 @@ fn axpy(k: f32, src: &[f32], out: &mut [f32]) {
 
 /// Writes `src` into `pad` with `half` replicated border pixels on each
 /// side: `pad[j] == src[clamp(j - half, 0, len - 1)]`.
-fn pad_row(src: &[f32], half: usize, pad: &mut [f32]) {
+pub(crate) fn pad_row(src: &[f32], half: usize, pad: &mut [f32]) {
     let w = src.len();
     pad[..half].fill(src[0]);
     pad[half..half + w].copy_from_slice(src);
     pad[half + w..].fill(src[w - 1]);
 }
 
-/// Sobel gradients: returns `(gx, gy)` response images.
-pub fn sobel(img: &GrayImage) -> (GrayImage, GrayImage) {
-    let (w, h) = (img.width(), img.height());
-    let src = img.data();
-    let row = |y: usize| &src[y * w..(y + 1) * w];
-    let mut gx = vec![0.0f32; w * h];
-    let mut gy = vec![0.0f32; w * h];
-    // The rows above, at and below `y`, each padded by one pixel.
-    let (mut up, mut mid, mut down) = (vec![0.0f32; w + 2], vec![0.0; w + 2], vec![0.0; w + 2]);
-    for (y, (gxr, gyr)) in gx.chunks_mut(w).zip(gy.chunks_mut(w)).enumerate() {
-        pad_row(row(y.saturating_sub(1)), 1, &mut up);
-        pad_row(row(y), 1, &mut mid);
-        pad_row(row((y + 1).min(h - 1)), 1, &mut down);
-        // `p(dx, dy)` of the per-pixel definition is `{up,mid,down}[x + 1 + dx]`.
-        let (ul, uc, ur) = (&up[..w], &up[1..w + 1], &up[2..]);
-        let (ml, mr) = (&mid[..w], &mid[2..]);
-        let (dl, dc, dr) = (&down[..w], &down[1..w + 1], &down[2..]);
-        for x in 0..w {
-            gxr[x] = (ur[x] + 2.0 * mr[x] + dr[x]) - (ul[x] + 2.0 * ml[x] + dl[x]);
-            gyr[x] = (dl[x] + 2.0 * dc[x] + dr[x]) - (ul[x] + 2.0 * uc[x] + ur[x]);
-        }
-    }
-    (
-        GrayImage::from_raw(w, h, gx),
-        GrayImage::from_raw(w, h, gy),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canny::{canny, canny_from_gradients, CannyConfig};
+    use crate::canny::tests::{bits, canny_reference};
+    use crate::canny::{canny, CannyConfig};
     use proptest::prelude::*;
 
     /// The per-pixel blur definition: every tap of every pixel reads its
@@ -144,27 +117,6 @@ mod tests {
         })
     }
 
-    /// The per-pixel Sobel definition. The oracle for `sobel`.
-    fn sobel_reference(img: &GrayImage) -> (GrayImage, GrayImage) {
-        let p = |x: usize, y: usize, dx: isize, dy: isize| {
-            img.get_clamped(x as isize + dx, y as isize + dy)
-        };
-        let (w, h) = (img.width(), img.height());
-        let gx = GrayImage::from_fn(w, h, |x, y| {
-            (p(x, y, 1, -1) + 2.0 * p(x, y, 1, 0) + p(x, y, 1, 1))
-                - (p(x, y, -1, -1) + 2.0 * p(x, y, -1, 0) + p(x, y, -1, 1))
-        });
-        let gy = GrayImage::from_fn(w, h, |x, y| {
-            (p(x, y, -1, 1) + 2.0 * p(x, y, 0, 1) + p(x, y, 1, 1))
-                - (p(x, y, -1, -1) + 2.0 * p(x, y, 0, -1) + p(x, y, 1, -1))
-        });
-        (gx, gy)
-    }
-
-    fn bits(img: &GrayImage) -> Vec<u32> {
-        img.data().iter().map(|v| v.to_bits()).collect()
-    }
-
     /// Pixels that stress rounding: ±0.0, subnormals of both signs,
     /// ordinary negative and positive values, and values near `f32::MAX`.
     fn pixel() -> impl Strategy<Value = f32> {
@@ -183,9 +135,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Row-sliced blur, Sobel and the Canny built on them are
-        /// bit-identical to the per-pixel definitions, borders, odd
-        /// shapes and kernels wider than the image included.
+        /// The row-sliced blur and the row-streamed Canny are
+        /// bit-identical to the per-pixel definitions (Canny's being the
+        /// `atan2` oracle), borders, odd shapes and kernels wider than the
+        /// image included.
         #[test]
         fn filters_match_per_pixel_reference_bits(
             w in 1usize..=40,
@@ -199,12 +152,8 @@ mod tests {
             let blurred = gaussian_blur(&img, k, sigma);
             prop_assert_eq!(bits(&blurred), bits(&gaussian_blur_reference(&img, k, sigma)));
             for src in [&img, &blurred] {
-                let (gx, gy) = sobel(src);
-                let (rx, ry) = sobel_reference(src);
-                prop_assert_eq!(bits(&gx), bits(&rx));
-                prop_assert_eq!(bits(&gy), bits(&ry));
                 let cfg = CannyConfig::default();
-                prop_assert_eq!(bits(&canny(src, cfg)), bits(&canny_from_gradients(&rx, &ry, cfg)));
+                prop_assert_eq!(bits(&canny(src, cfg)), bits(&canny_reference(src, cfg)));
             }
         }
     }
@@ -257,14 +206,5 @@ mod tests {
             im.data().iter().map(|&v| (v - m) * (v - m)).sum::<f32>() / im.data().len() as f32
         };
         assert!(var(&b) < var(&img) * 0.2);
-    }
-
-    #[test]
-    fn sobel_detects_vertical_edge() {
-        let img = GrayImage::from_fn(8, 8, |x, _| if x < 4 { 0.0 } else { 1.0 });
-        let (gx, gy) = sobel(&img);
-        // Strong horizontal gradient at the boundary column, none vertically.
-        assert!(gx.get(4, 4).abs() > 1.0);
-        assert!(gy.get(4, 4).abs() < 1e-5);
     }
 }

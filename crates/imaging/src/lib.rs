@@ -26,7 +26,7 @@ pub mod paip;
 pub mod resize;
 
 pub use canny::{canny, CannyConfig};
-pub use filter::{gaussian_blur, sobel};
+pub use filter::gaussian_blur;
 pub use image::{GrayImage, ImageError};
 pub use integral::IntegralImage;
 pub use resize::{resize_area, resize_bilinear, resize_nearest};

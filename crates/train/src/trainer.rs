@@ -329,7 +329,7 @@ impl<M: TokenSegModel> SegTrainer<M> {
                 let (x, y) = val.batch(b);
                 val_loss += self.eval_loss(&x, &y);
             }
-            val_loss /= val.epoch_batches(batch_size, 0).len().max(1) as f64;
+            val_loss /= vbatches.len().max(1) as f64;
         }
         let val_dice = if eval_dice { self.evaluate_dice(val) } else { 0.0 };
         let stats = EpochStats {

@@ -122,6 +122,9 @@ echo "==> kernel-oracle differential suite (release: exercises the vectorized pa
 cargo test --release -q -p apf-tensor --test kernel_oracle
 APF_KERNEL_BACKEND=scalar cargo test --release -q -p apf-tensor --test kernel_oracle
 
+echo "==> preprocessing differential suites (release: blur, row-streamed Canny, box projection, quadtree vs their per-pixel oracles)"
+cargo test --release -q -p apf-imaging -p apf-core
+
 echo "==> backend dispatch-layer tests (detection order, overrides, telemetry)"
 cargo test --release -q -p apf-tensor --test backend_dispatch
 
