@@ -34,6 +34,7 @@
 pub mod crc32;
 pub mod error;
 pub mod fault;
+pub mod le;
 pub mod lru;
 pub mod morton;
 pub mod patchify;
@@ -43,7 +44,7 @@ pub mod stats;
 pub mod uniform;
 pub mod viz;
 
-pub use crc32::{crc32, crc32_bytewise, crc32_f32, Crc32};
+pub use crc32::{crc32, crc32_arm, crc32_bytewise, crc32_f32, crc32_slice16, Crc32};
 pub use error::PatchError;
 pub use fault::{Fault, FaultPlan};
 pub use morton::{morton_decode, morton_encode};

@@ -233,7 +233,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The slice-by-16 `Crc32` equals the byte-wise reference for any
+    /// The dispatched `Crc32` equals the byte-wise reference for any
     /// length, any start offset (unaligned slices) and any way of
     /// splitting the stream across `update` calls.
     #[test]

@@ -30,6 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use apf_core::crc32;
+use apf_core::le::{f32s_from_le, put_f32s_le};
 
 use crate::error::GigapixelError;
 
@@ -144,21 +145,6 @@ impl IndexEntry {
     }
 }
 
-fn f32s_to_le_bytes(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn le_bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
 /// Streaming writer: tiles arrive in any order, each at most once; the
 /// container appears at the final path only after a successful
 /// [`TileStoreWriter::finish`].
@@ -244,7 +230,8 @@ impl TileStoreWriter {
         if self.index[i].is_some() {
             return Err(GigapixelError::DuplicateTile { tx, ty });
         }
-        let bytes = f32s_to_le_bytes(data);
+        let mut bytes = Vec::new();
+        put_f32s_le(&mut bytes, data);
         let entry = IndexEntry {
             offset: self.cursor,
             byte_len: bytes.len() as u32,
@@ -585,7 +572,7 @@ impl TileStore {
         if found != expected {
             return Err(GigapixelError::CrcMismatch { tx, ty, expected, found });
         }
-        Ok(le_bytes_to_f32s(bytes))
+        Ok(f32s_from_le(bytes))
     }
 }
 

@@ -28,6 +28,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 use apf_core::crc32::{crc32, crc32_f32};
+use apf_core::le::{f32s_from_le, put_f32s_le};
 use apf_tensor::tensor::Tensor;
 
 use crate::params::ParamSet;
@@ -246,9 +247,7 @@ fn put_tensor_record(out: &mut Vec<u8>, name: &str, tensor: &Tensor) {
         out.extend_from_slice(&(d as u64).to_le_bytes());
     }
     out.extend_from_slice(&crc32_f32(tensor.data()).to_le_bytes());
-    for &v in tensor.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    put_f32s_le(out, tensor.data());
 }
 
 /// Serializes a parameter set into the current (APF2) byte format, with no
@@ -388,11 +387,7 @@ impl<'a> Cursor<'a> {
                 computed,
             });
         }
-        let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        Ok((dims, data))
+        Ok((dims, f32s_from_le(raw)))
     }
 }
 

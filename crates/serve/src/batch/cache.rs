@@ -23,7 +23,8 @@
 
 use std::sync::Arc;
 
-use apf_core::crc32;
+use apf_core::crc32::{crc32, Crc32};
+use apf_core::le::for_each_le_block;
 use apf_core::lru::{Lru, LruMetrics};
 use apf_core::patchify::PatchSequence;
 use apf_imaging::GrayImage;
@@ -50,8 +51,8 @@ pub struct ContentKey {
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+/// Continues an FNV-1a 64-bit hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -61,16 +62,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 impl ContentKey {
     /// Keys an in-memory image by its raw pixel bytes.
+    /// Both hashes read the same stack blocks, so the image is never copied.
     pub fn of_image(img: &GrayImage) -> Self {
-        let mut bytes = Vec::with_capacity(img.data().len() * 4);
-        for v in img.data() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
+        let mut crc = Crc32::new();
+        let mut fnv = FNV_OFFSET;
+        for_each_le_block(img.data(), |bytes| {
+            crc.update(bytes);
+            fnv = fnv1a(fnv, bytes);
+        });
         ContentKey {
             width: img.width() as u32,
             height: img.height() as u32,
-            crc: crc32(&bytes),
-            fnv: fnv1a(&bytes),
+            crc: crc.finalize(),
+            fnv,
         }
     }
 
@@ -82,7 +86,7 @@ impl ContentKey {
         for c in tile_crcs {
             bytes.extend_from_slice(&c.to_le_bytes());
         }
-        ContentKey { width, height, crc: crc32(&bytes), fnv: fnv1a(&bytes) }
+        ContentKey { width, height, crc: crc32(&bytes), fnv: fnv1a(FNV_OFFSET, &bytes) }
     }
 }
 
@@ -228,6 +232,25 @@ mod tests {
         assert_eq!((s.resident_bytes, s.resident_entries, s.evictions), (2 * 896, 2, 1));
         let (_, o) = cache.get_or_build::<()>(key(0, 0), || Ok(seq_of(4, 8, 0.0))).unwrap();
         assert_eq!(o, CacheOutcome::Miss, "the least recently used entry was the victim");
+    }
+
+    #[test]
+    fn image_keys_match_the_byte_copy_formula() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        // Sizes below, at and across the 1024-pixel hashing block.
+        for (w, h) in [(1, 1), (7, 3), (32, 32), (33, 31), (64, 64), (100, 41)] {
+            let pixels = (0..w * h).map(|_| rng.gen::<f32>() * 2.0 - 0.5).collect();
+            let img = GrayImage::from_raw(w, h, pixels);
+            let bytes: Vec<u8> = img.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let copied = ContentKey {
+                width: w as u32,
+                height: h as u32,
+                crc: crc32(&bytes),
+                fnv: fnv1a(FNV_OFFSET, &bytes),
+            };
+            assert_eq!(ContentKey::of_image(&img), copied, "{w}x{h}");
+        }
     }
 
     #[test]

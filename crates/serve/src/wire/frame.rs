@@ -42,6 +42,7 @@ use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
 use apf_core::crc32::crc32;
+use apf_core::le::{f32s_from_le, put_f32s_le};
 use apf_telemetry::TraceContext;
 
 /// Protocol magic, first on the wire.
@@ -573,9 +574,7 @@ impl WireRequest {
                 out.extend_from_slice(&deadline_ms.to_le_bytes());
                 out.extend_from_slice(&width.to_le_bytes());
                 out.extend_from_slice(&height.to_le_bytes());
-                for p in pixels {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
+                put_f32s_le(&mut out, pixels);
                 out
             }
             WireRequest::Slide {
@@ -617,11 +616,7 @@ impl WireRequest {
                         ),
                     });
                 }
-                let pixels = c
-                    .take(have * 4, "segment pixels")?
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
-                    .collect();
+                let pixels = f32s_from_le(c.take(have * 4, "segment pixels")?);
                 c.finish("segment")?;
                 Ok(WireRequest::Segment { deadline_ms, width, height, pixels })
             }

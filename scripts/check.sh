@@ -128,7 +128,7 @@ cargo test --release -q -p apf-imaging -p apf-core
 echo "==> backend dispatch-layer tests (detection order, overrides, telemetry)"
 cargo test --release -q -p apf-tensor --test backend_dispatch
 
-echo "==> kernel_bench gate (per backend; best: packed SGEMM >= 2x, fused attention >= 1.05x, attention backward >= 1.5x, bias+GELU fwd+bwd >= 4x scalar; CRC-32 slice-by-16 >= 3x bytewise; pool_gemm: pooled packed GEMM >= 1.4x inline on >= 2 threads, skipped on 1)"
+echo "==> kernel_bench gate (per backend; best: packed SGEMM >= 2x, fused attention >= 1.05x, attention backward >= 1.5x, bias+GELU fwd+bwd >= 4x scalar; CRC-32 slice-by-16 >= 3x bytewise, dispatched arm (pclmulqdq fold where the CPU has it) >= 1x slice-by-16; pool_gemm: pooled packed GEMM >= 1.4x inline on >= 2 threads, skipped on 1)"
 rm -f results/kernel_bench.json
 cargo run --release -q -p apf-bench --bin kernel_bench
 test -s results/kernel_bench.json || { echo "missing kernel_bench.json" >&2; exit 1; }
