@@ -18,7 +18,8 @@
 //!   flight-recorder dump of the injected worker panic.
 //! * `scale` — the clean high-volume run. 16 × 6 400 requests over the
 //!   wire to a batched, cached engine with zero failures, >= 90 % cache
-//!   hits and batches that form; then in process, the batched and cached
+//!   hits, batches that form and one kept connection per client (only a
+//!   retry may open another); then in process, the batched and cached
 //!   engine must serve a repeated 256² pool at >= 2× the default engine
 //!   (uncached batches of one) at concurrency 16.
 //! * `slide` — out-of-core stitching. On a slide that fits in memory, the
@@ -1133,7 +1134,7 @@ fn scale(quick: bool, seed: u64) {
                     ..ClientConfig::default()
                 },
             );
-            (0..requests)
+            let ok = (0..requests)
                 .filter(|k| {
                     let img = &pool[(c as u64 + k) as usize % pool.len()];
                     matches!(
@@ -1141,12 +1142,14 @@ fn scale(quick: bool, seed: u64) {
                         Ok(WireStatus::Ok { .. })
                     )
                 })
-                .count() as u64
+                .count() as u64;
+            (ok, cli.stats().retries)
         },
         || (),
     );
     let elapsed_s = t0.elapsed().as_secs_f64();
-    let calls_ok: u64 = done.iter().sum();
+    let calls_ok: u64 = done.iter().map(|(ok, _)| ok).sum();
+    let retries: u64 = done.iter().map(|(_, retries)| retries).sum();
     let typed_failures = done.len() as u64 * requests - calls_ok;
     let drain = server.drain();
     let report = Arc::try_unwrap(engine).ok().expect("engine still shared after drain").shutdown();
@@ -1170,6 +1173,15 @@ fn scale(quick: bool, seed: u64) {
         format_args!("{} submitted, {} answered", m.submitted, m.responses()),
     );
     r.check("zero_server_panics", drain.conn_panics == 0, "connection handlers panicked");
+    // Each client keeps one connection: only a retry may open another.
+    r.check(
+        "wire_connections_reused",
+        drain.connections_total <= clients as u64 + retries,
+        format_args!(
+            "{} connections for {clients} clients and {retries} retries",
+            drain.connections_total
+        ),
+    );
     r.check(
         "wire_cache_hit_rate_ok",
         cache.hit_rate() >= 0.90,
@@ -1184,6 +1196,8 @@ fn scale(quick: bool, seed: u64) {
         ("wire_requests", wire_total as f64),
         ("wire_calls_ok", calls_ok as f64),
         ("wire_typed_client_failures", typed_failures as f64),
+        ("wire_connections", drain.connections_total as f64),
+        ("wire_client_retries", retries as f64),
         ("wire_untyped_client_failures", untyped as f64),
         ("wire_elapsed_s", elapsed_s),
         ("wire_throughput_rps", wire_total as f64 / elapsed_s),

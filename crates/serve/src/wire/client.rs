@@ -1,11 +1,19 @@
 //! A retrying `APFW1` client with bounded exponential backoff.
 //!
-//! Every call owns its own retry loop: connect, send the request frame,
-//! read the response, classify. Retryable outcomes — transport-level
-//! [`WireError`]s, `Rejected`, `OverQuota`, `GoAway`, `WorkerFailure` —
-//! trigger a reconnect after a delay that is the *maximum* of the server's
-//! `retry_after_ms` hint (the server knows its queue) and the client's own
-//! jittered exponential backoff (the client knows its attempt count).
+//! One client keeps one connection across its calls and attempts. Every
+//! call owns its own retry loop: send the request frame on the kept
+//! connection (connecting first when there is none), read the response,
+//! classify. The connection is kept only after a complete, well-formed
+//! reply of the expected kind whose request id echoes the attempt's; a
+//! transport or protocol [`WireError`], a `GoAway`, or an injected fault
+//! shuts it, and the next attempt reconnects. A reply echoing another
+//! request's id is the typed [`WireError::BadRequestId`], never an answer.
+//!
+//! Retryable outcomes — transport-level [`WireError`]s, `Rejected`,
+//! `OverQuota`, `GoAway`, `WorkerFailure` — trigger a retry after a delay
+//! that is the *maximum* of the server's `retry_after_ms` hint (the server
+//! knows its queue) and the client's own jittered exponential backoff (the
+//! client knows its attempt count).
 //! Terminal outcomes — `Ok`, `SlideOk`, `InvalidInput`,
 //! `DeadlineExceeded` — return immediately: retrying a request the server
 //! proved invalid or too slow only wastes both parties' time.
@@ -142,7 +150,8 @@ impl std::error::Error for ClientError {}
 /// Counters one client accumulates across calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
-    /// Attempts made (each opens a connection).
+    /// Attempts made (each sends one frame, on the kept connection or a
+    /// new one).
     pub attempts: u64,
     /// Attempts beyond the first for their call.
     pub retries: u64,
@@ -163,13 +172,24 @@ pub struct WireClient {
     faults: FaultPlan<NetFaultKind>,
     attempt_counter: u64,
     stats: ClientStats,
+    /// The connection the last well-formed reply arrived on; the next
+    /// attempt reuses it.
+    conn: Option<TcpStream>,
 }
 
 impl WireClient {
     /// A client for the server at `addr`.
     pub fn connect(addr: SocketAddr, cfg: ClientConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        WireClient { cfg, addr, rng, faults: FaultPlan::none(), attempt_counter: 0, stats: ClientStats::default() }
+        WireClient {
+            cfg,
+            addr,
+            rng,
+            faults: FaultPlan::none(),
+            attempt_counter: 0,
+            stats: ClientStats::default(),
+            conn: None,
+        }
     }
 
     /// Attaches a fault plan on lane 0, keyed by attempt; scheduled
@@ -270,34 +290,24 @@ impl WireClient {
         Duration::from_millis(jittered.max(server_hint_ms.unwrap_or(0)).min(self.cfg.max_backoff_ms))
     }
 
-    /// One connect/send/receive round. `Ok` carries whatever status the
-    /// server answered (including retryable ones); `Err` is transport.
+    /// One send/receive round. `Ok` carries whatever status the server
+    /// answered (including retryable ones); `Err` is transport or protocol.
     fn attempt(&mut self, request: &WireRequest, nth: u64) -> Result<WireStatus, WireError> {
-        let stream = TcpStream::connect_timeout(
-            &self.addr,
-            Duration::from_millis(self.cfg.write_timeout_ms.max(1)),
-        )
-        .map_err(|e| WireError::Io { kind: format!("{:?}", e.kind()) })?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(self.cfg.read_timeout_ms.max(1))));
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))));
-
         if let Some(fault) = self.faults.fault_for(0, nth) {
+            let stream = self.stream()?;
             self.stats.faults_injected += 1;
             return Err(self.inject(&stream, fault, request, nth));
         }
-
         let frame = Frame::new(request.kind(), self.cfg.tenant, nth, request.encode())
             .with_trace(TraceContext::current());
-        let mut w = &stream;
-        write_frame(&mut w, &frame)?;
-        let mut r = &stream;
-        let reply = read_frame(&mut r, self.cfg.max_payload)?;
-        let _ = stream.shutdown(Shutdown::Both);
-        match reply.kind {
-            FrameKind::Response | FrameKind::GoAway => WireStatus::decode(&reply.payload),
+        self.round_trip(&frame, |reply| match reply.kind {
+            FrameKind::Response | FrameKind::GoAway => {
+                let status = WireStatus::decode(&reply.payload)?;
+                let keep = !matches!(status, WireStatus::GoAway { .. });
+                Ok((status, keep))
+            }
             other => Err(WireError::BadKind { found: other.to_u8() }),
-        }
+        })
     }
 
     /// One admin-plane round trip: no retry loop (admin callers want the
@@ -311,6 +321,58 @@ impl WireClient {
         self.attempt_counter += 1;
         self.stats.attempts += 1;
         let _span = self.cfg.telemetry.span_id("wire.client.admin", nth);
+        let frame = Frame::new(FrameKind::Admin, self.cfg.tenant, nth, request.encode())
+            .with_trace(TraceContext::current());
+        self.round_trip(&frame, |reply| match reply.kind {
+            FrameKind::Admin => Ok((AdminResponse::decode(&reply.payload)?, true)),
+            other => Err(WireError::BadKind { found: other.to_u8() }),
+        })
+    }
+
+    /// Sends `frame` and reads its reply on the kept connection (or a new
+    /// one). `decode` turns the reply into the answer and says whether the
+    /// connection may carry the next request. A reply that is not a
+    /// `GoAway` must echo the frame's request id. Any error shuts the
+    /// connection and drops it.
+    fn round_trip<T>(
+        &mut self,
+        frame: &Frame,
+        decode: impl FnOnce(&Frame) -> Result<(T, bool), WireError>,
+    ) -> Result<T, WireError> {
+        let stream = self.stream()?;
+        let answer = write_frame(&mut &stream, frame)
+            .and_then(|()| read_frame(&mut &stream, self.cfg.max_payload))
+            .and_then(|reply| {
+                if reply.kind != FrameKind::GoAway && reply.request != frame.request {
+                    return Err(WireError::BadRequestId {
+                        expected: frame.request,
+                        found: reply.request,
+                    });
+                }
+                decode(&reply)
+            });
+        match answer {
+            Ok((value, true)) => {
+                self.conn = Some(stream);
+                Ok(value)
+            }
+            Ok((value, false)) => {
+                let _ = stream.shutdown(Shutdown::Both);
+                Ok(value)
+            }
+            Err(e) => {
+                let _ = stream.shutdown(Shutdown::Both);
+                Err(e)
+            }
+        }
+    }
+
+    /// Takes the kept connection, or connects with the configured
+    /// deadlines when there is none.
+    fn stream(&mut self) -> Result<TcpStream, WireError> {
+        if let Some(stream) = self.conn.take() {
+            return Ok(stream);
+        }
         let stream = TcpStream::connect_timeout(
             &self.addr,
             Duration::from_millis(self.cfg.write_timeout_ms.max(1)),
@@ -319,17 +381,7 @@ impl WireClient {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(self.cfg.read_timeout_ms.max(1))));
         let _ = stream.set_write_timeout(Some(Duration::from_millis(self.cfg.write_timeout_ms.max(1))));
-        let frame = Frame::new(FrameKind::Admin, self.cfg.tenant, nth, request.encode())
-            .with_trace(TraceContext::current());
-        let mut w = &stream;
-        write_frame(&mut w, &frame)?;
-        let mut r = &stream;
-        let reply = read_frame(&mut r, self.cfg.max_payload)?;
-        let _ = stream.shutdown(Shutdown::Both);
-        match reply.kind {
-            FrameKind::Admin => AdminResponse::decode(&reply.payload),
-            other => Err(WireError::BadKind { found: other.to_u8() }),
-        }
+        Ok(stream)
     }
 
     /// Executes a scheduled fault on an open connection and reports what

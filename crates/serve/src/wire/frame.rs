@@ -39,7 +39,7 @@
 //! idle connections and kill stalled ones.
 
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 use apf_core::crc32::crc32;
 use apf_core::le::{f32s_from_le, put_f32s_le};
@@ -195,6 +195,15 @@ pub enum WireError {
         /// What the payload decoder objected to.
         reason: String,
     },
+    /// A reply's request id is not the id of the request it answers: the
+    /// connection is out of step with its requests, so the answer belongs
+    /// to some other request and is not returned.
+    BadRequestId {
+        /// The id of the request sent.
+        expected: u64,
+        /// The id the reply echoed.
+        found: u64,
+    },
     /// Any other socket-level I/O failure.
     Io {
         /// The `std::io::ErrorKind`, rendered.
@@ -219,6 +228,7 @@ impl WireError {
             WireError::BadExtension { .. } => "bad_extension",
             WireError::BadPayloadCrc { .. } => "bad_payload_crc",
             WireError::BadPayload { .. } => "bad_payload",
+            WireError::BadRequestId { .. } => "bad_request_id",
             WireError::Io { .. } => "io",
         }
     }
@@ -268,6 +278,9 @@ impl fmt::Display for WireError {
                 write!(f, "payload CRC mismatch: computed {computed:08x}, claimed {claimed:08x}")
             }
             WireError::BadPayload { reason } => write!(f, "malformed payload: {reason}"),
+            WireError::BadRequestId { expected, found } => {
+                write!(f, "reply echoed request id {found}, expected {expected}")
+            }
             WireError::Io { kind } => write!(f, "socket error: {kind}"),
         }
     }
@@ -307,30 +320,37 @@ impl Frame {
     /// Encodes the frame to wire bytes (header + optional trace extension +
     /// payload + trailer CRC).
     pub fn encode(&self) -> Vec<u8> {
-        let len = self.payload.len() as u32;
-        let ext = if self.trace.is_some() { TRACE_EXT_LEN } else { 0 };
-        let mut out = Vec::with_capacity(HEADER_LEN + ext + self.payload.len() + 4);
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.push(WIRE_VERSION);
-        out.push(self.kind.to_u8());
-        out.push(if self.trace.is_some() { FLAG_TRACE_CONTEXT } else { 0 });
-        out.push(0);
-        out.extend_from_slice(&self.tenant.to_le_bytes());
-        out.extend_from_slice(&self.request.to_le_bytes());
-        out.extend_from_slice(&len.to_le_bytes());
-        let hcrc = crc32(&out[..28]);
-        out.extend_from_slice(&hcrc.to_le_bytes());
-        if let Some(ctx) = &self.trace {
-            let at = out.len();
-            out.extend_from_slice(&ctx.trace_id.to_le_bytes());
-            out.extend_from_slice(&ctx.parent_span.to_le_bytes());
-            out.push(ctx.sampled as u8);
-            let ecrc = crc32(&out[at..at + 17]);
-            out.extend_from_slice(&ecrc.to_le_bytes());
-        }
+        let (head, head_len) = self.encode_head();
+        let mut out = Vec::with_capacity(head_len + self.payload.len() + 4);
+        out.extend_from_slice(&head[..head_len]);
         out.extend_from_slice(&self.payload);
         out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
         out
+    }
+
+    /// The header and optional trace extension as they go on the wire: a
+    /// fixed buffer and how many of its leading bytes the frame uses. The
+    /// one encoder behind both [`Frame::encode`] and [`write_frame`].
+    fn encode_head(&self) -> ([u8; HEADER_LEN + TRACE_EXT_LEN], usize) {
+        let mut head = [0u8; HEADER_LEN + TRACE_EXT_LEN];
+        head[..4].copy_from_slice(&WIRE_MAGIC);
+        head[4] = WIRE_VERSION;
+        head[5] = self.kind.to_u8();
+        head[6] = if self.trace.is_some() { FLAG_TRACE_CONTEXT } else { 0 };
+        // head[7] is the reserved byte: zero.
+        head[8..16].copy_from_slice(&self.tenant.to_le_bytes());
+        head[16..24].copy_from_slice(&self.request.to_le_bytes());
+        head[24..28].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        let hcrc = crc32(&head[..28]);
+        head[28..HEADER_LEN].copy_from_slice(&hcrc.to_le_bytes());
+        let Some(ctx) = &self.trace else { return (head, HEADER_LEN) };
+        let ext = &mut head[HEADER_LEN..];
+        ext[0..8].copy_from_slice(&ctx.trace_id.to_le_bytes());
+        ext[8..16].copy_from_slice(&ctx.parent_span.to_le_bytes());
+        ext[16] = ctx.sampled as u8;
+        let ecrc = crc32(&ext[..17]);
+        ext[17..TRACE_EXT_LEN].copy_from_slice(&ecrc.to_le_bytes());
+        (head, HEADER_LEN + TRACE_EXT_LEN)
     }
 }
 
@@ -439,14 +459,32 @@ pub fn read_frame(r: &mut impl Read, cap: u32) -> Result<Frame, WireError> {
 }
 
 /// Writes a frame to `w`, mapping I/O failures into the typed taxonomy.
+/// The head, the payload and the trailer go out as three slices of one
+/// vectored write, so the payload is never copied into a frame buffer;
+/// the bytes are exactly [`Frame::encode`]'s.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let bytes = frame.encode();
-    w.write_all(&bytes)
-        .and_then(|()| w.flush())
-        .map_err(|e| match e.kind() {
-            ErrorKind::WouldBlock | ErrorKind::TimedOut => WireError::Stalled { got: 0 },
-            kind => WireError::Io { kind: kind.to_string() },
-        })
+    let (head, head_len) = frame.encode_head();
+    let trailer = crc32(&frame.payload).to_le_bytes();
+    let mut slices =
+        [IoSlice::new(&head[..head_len]), IoSlice::new(&frame.payload), IoSlice::new(&trailer)];
+    write_all_vectored(w, &mut slices).and_then(|()| w.flush()).map_err(|e| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => WireError::Stalled { got: 0 },
+        kind => WireError::Io { kind: kind.to_string() },
+    })
+}
+
+/// `write_all` over several slices: loops until every byte is written,
+/// resuming mid-slice after a partial write.
+fn write_all_vectored(w: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !slices.is_empty() {
+        match w.write_vectored(slices) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -978,6 +1016,59 @@ mod tests {
         legacy.extend_from_slice(&f.payload);
         legacy.extend_from_slice(&crc32(&f.payload).to_le_bytes());
         assert_eq!(bytes, legacy);
+    }
+
+    /// A writer that takes 1..=7 bytes per call (cycling), across slice
+    /// boundaries when written vectored: every partial-write path of
+    /// `write_frame` runs.
+    struct Dribble {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Dribble {
+        fn quota(&mut self) -> usize {
+            self.calls += 1;
+            1 + self.calls % 7
+        }
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = self.quota().min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut left = self.quota();
+            let mut n = 0;
+            for b in bufs {
+                let take = left.min(b.len());
+                self.out.extend_from_slice(&b[..take]);
+                (left, n) = (left - take, n + take);
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_streams_the_bytes_encode_builds() {
+        let big: Vec<u8> =
+            (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for payload in [Vec::new(), big] {
+            for trace in [None, Some(test_ctx())] {
+                let f = Frame::new(FrameKind::Segment, 42, 7, payload.clone()).with_trace(trace);
+                let mut w = Dribble { out: Vec::new(), calls: 0 };
+                write_frame(&mut w, &f).expect("dribbled write");
+                assert!(w.calls > 1, "the writer must have split the frame");
+                assert_eq!(w.out, f.encode(), "payload {} B, trace {trace:?}", payload.len());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`server`] — the thread-per-connection listener with read/write
 //!   deadlines, the quota gate, engine outcome mapping, and graceful
 //!   drain ([`WireServer`]).
-//! * [`client`] — the reconnecting, backoff-aware caller
+//! * [`client`] — the keep-alive, reconnecting, backoff-aware caller
 //!   ([`WireClient`]).
 //! * [`netfault`] — seeded socket-level fault kinds ([`NetFaultKind`])
 //!   used by the soak and the loopback tests here.
@@ -336,6 +336,126 @@ mod tests {
             .find(|e| e.name == "serve.request")
             .expect("engine request span");
         assert_eq!(inference.trace_id, call.trace_id);
+    }
+
+    /// The request every keep-alive test sends, and the check that it
+    /// came back `Ok`.
+    fn call_ok(cli: &mut WireClient) {
+        match cli.call(&segment_request(16)) {
+            Ok(WireStatus::Ok { .. }) => {}
+            other => panic!("expected Ok, got {other:?}"),
+        }
+    }
+
+    /// Drains `srv`, shuts the engine down and returns the report.
+    fn finish(srv: WireServer, engine: Arc<ServeEngine>) -> DrainReport {
+        let report = srv.drain();
+        assert_eq!(report.conn_panics, 0);
+        assert!(report.completed_within_bound, "drain took {} ms", report.drain_ms);
+        Arc::try_unwrap(engine).ok().expect("sole owner").shutdown();
+        report
+    }
+
+    #[test]
+    fn one_client_reuses_one_connection_across_calls() {
+        let engine = engine();
+        let srv = server(&engine, QuotaConfig::default());
+        let mut cli = client(srv.local_addr(), 1, 11);
+        for _ in 0..5 {
+            call_ok(&mut cli);
+        }
+        assert_eq!(cli.stats().retries, 0);
+        let report = finish(srv, engine);
+        // The drain's wake-up connect is not counted either.
+        assert_eq!(report.connections_total, 1);
+        assert_eq!(report.connections[0].responses, 5);
+    }
+
+    #[test]
+    fn an_idle_gap_past_the_server_read_deadline_keeps_the_connection() {
+        let engine = engine();
+        let srv = server(&engine, QuotaConfig::default());
+        let mut cli = client(srv.local_addr(), 1, 12);
+        call_ok(&mut cli);
+        // Well past the server's 60 ms read deadline: an idle connection
+        // times out reads, but it is not closed.
+        std::thread::sleep(Duration::from_millis(250));
+        call_ok(&mut cli);
+        assert_eq!(cli.stats().retries, 0);
+        assert_eq!(finish(srv, engine).connections_total, 1);
+    }
+
+    #[test]
+    fn a_fault_drops_the_kept_connection_and_the_retry_reconnects() {
+        let engine = engine();
+        let srv = server(&engine, QuotaConfig::default());
+        let plan = FaultPlan::new(vec![Fault {
+            lane: 0,
+            nth: 1,
+            kind: NetFaultKind::TornWrite { keep_bytes: 11 },
+        }]);
+        let mut cli = client(srv.local_addr(), 1, 13).with_faults(plan);
+        call_ok(&mut cli); // attempt 0 opens the connection
+        call_ok(&mut cli); // attempt 1 tears it, attempt 2 reconnects
+        let stats = cli.stats();
+        assert_eq!((stats.faults_injected, stats.retries), (1, 1));
+        let report = finish(srv, engine);
+        assert_eq!(report.connections_total, 2);
+        assert!(report.connections.iter().any(|c| c.close_cause == "truncated"));
+    }
+
+    #[test]
+    fn admin_after_call_rides_the_same_connection() {
+        let engine = engine();
+        let srv = server(&engine, QuotaConfig::default());
+        let mut cli = client(srv.local_addr(), 1, 14);
+        call_ok(&mut cli);
+        let health = cli.admin(&AdminRequest::Health).expect("health");
+        assert_eq!((health.ok, health.body.as_str()), (true, "serving"));
+        call_ok(&mut cli);
+        let report = finish(srv, engine);
+        assert_eq!(report.connections_total, 1);
+        assert_eq!(report.connections[0].responses, 3);
+    }
+
+    #[test]
+    fn a_reply_with_another_request_id_is_a_typed_error() {
+        // A raw server that answers every frame Ok, but under the next id.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let fake = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let req = read_frame(&mut s, DEFAULT_MAX_PAYLOAD).expect("request frame");
+            let ok = WireStatus::Ok { tokens: 1, positive_fraction: 0.5, tier: 0 };
+            let reply = Frame::new(FrameKind::Response, req.tenant, req.request + 1, ok.encode());
+            write_frame(&mut s, &reply).expect("reply");
+            // The client must hang up rather than send on.
+            read_frame(&mut s, DEFAULT_MAX_PAYLOAD).err()
+        });
+        let mut cli = client(addr, 1, 15);
+        match cli.call(&segment_request(4)) {
+            Err(ClientError::Wire(WireError::BadRequestId { expected: 0, found: 1 })) => {}
+            other => panic!("expected a typed request-id error, got {other:?}"),
+        }
+        assert_eq!(cli.stats().attempts, 1);
+        assert_eq!(fake.join().expect("fake server"), Some(WireError::Disconnected));
+    }
+
+    #[test]
+    fn a_call_after_the_server_drained_fails_typed_without_hanging() {
+        let engine = engine();
+        let srv = server(&engine, QuotaConfig::default());
+        let mut cli = client(srv.local_addr(), 1, 16);
+        call_ok(&mut cli);
+        assert_eq!(finish(srv, engine).connections_total, 1);
+        // The kept connection now holds the drain's GoAway and is closed;
+        // the listener is gone, so every reconnect is refused.
+        let t0 = std::time::Instant::now();
+        match cli.call(&segment_request(16)) {
+            Err(ClientError::Exhausted { attempts: 6, .. }) => {}
+            other => panic!("expected typed exhaustion, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
     }
 
     #[test]

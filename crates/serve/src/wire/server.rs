@@ -18,14 +18,15 @@
 //!    [`ServeEngine`] admission path (bounded queue, tiers, deadlines,
 //!    breakers), and every engine [`Outcome`] maps onto a typed wire
 //!    status.
-//! 5. **Graceful drain** — [`WireServer::drain`] stops the accept loop,
+//! 5. **Graceful drain** — [`WireServer::drain`] stops the accept loop
+//!    (its `accept` blocks; one uncounted loopback connect wakes it),
 //!    lets in-flight requests complete (or hit their deadlines), sends
 //!    every live connection a terminal `GoAway{retry_after_ms}`, and joins
 //!    every thread; the report says whether that finished inside the bound.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -134,6 +135,7 @@ impl WireTel {
             "bad_extension",
             "bad_payload_crc",
             "bad_payload",
+            "bad_request_id",
             "io",
         ];
         WireTel {
@@ -284,7 +286,6 @@ impl WireServer {
     /// Binds the listener and starts the accept loop.
     pub fn start(engine: Arc<ServeEngine>, cfg: WireConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.bind_addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let tm = WireTel::new(cfg.telemetry.clone());
         let quotas = TenantQuotas::new(cfg.quota.clone(), &cfg.telemetry);
@@ -347,10 +348,7 @@ impl WireServer {
         });
         self.shared.tm.draining.set(1.0);
         self.shared.tm.drain_connections.set(connections_at_drain as f64);
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         let handles: Vec<_> = {
             let mut guard = self.conn_handles.lock().unwrap_or_else(|e| e.into_inner());
             guard.drain(..).collect()
@@ -398,6 +396,24 @@ impl WireServer {
             quota_accounts: self.shared.quotas.accounting(),
         }
     }
+
+    /// Raises the drain flag, wakes the blocking `accept` with one loopback
+    /// connect (which the accept loop drops uncounted), and joins the
+    /// accept thread. Idempotent: the second call finds no handle.
+    fn stop_accepting(&mut self) {
+        self.shared.draining.store(true, Ordering::SeqCst);
+        if let Some(h) = self.accept_handle.take() {
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            let _ = h.join();
+        }
+    }
 }
 
 impl Drop for WireServer {
@@ -405,10 +421,7 @@ impl Drop for WireServer {
         // drain() disarms this by taking the accept handle; reaching here
         // with it armed means the server is being dropped raw (e.g. a
         // panicking test) — stop the threads, skip the report.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
+        self.stop_accepting();
         let handles: Vec<_> = {
             let mut guard = self.conn_handles.lock().unwrap_or_else(|e| e.into_inner());
             guard.drain(..).collect()
@@ -425,7 +438,6 @@ fn accept_loop(
     conns: &Arc<Mutex<Vec<thread::JoinHandle<ConnSummary>>>>,
     reaped: &Arc<Mutex<VecDeque<ConnSummary>>>,
 ) {
-    let poll = Duration::from_millis(5);
     let mut conn_seq: u64 = 0;
     while !shared.draining.load(Ordering::SeqCst) {
         // Reap finished connection threads before accepting more: an
@@ -451,6 +463,10 @@ fn accept_loop(
             }
         }
         match listener.accept() {
+            // The flag is raised before the wake-up connect, so whatever
+            // is accepted after it is that connect (or a client too late
+            // for a draining server): dropped, neither served nor counted.
+            Ok(_) if shared.draining.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 conn_seq += 1;
                 let conn = conn_seq;
@@ -493,7 +509,6 @@ fn accept_loop(
                     .expect("spawn connection thread");
                 conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(poll),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             // A broken listener cannot accept; treat as an implicit drain
             // signal rather than spinning.
@@ -521,9 +536,7 @@ fn send_goaway(shared: &WireShared, stream: &TcpStream, retry_after_ms: u64) {
 
 fn serve_connection(conn: u64, shared: &WireShared, stream: TcpStream) -> ConnSummary {
     let _span = shared.tm.tel.span_id("serve.wire.conn", conn);
-    // Accepted sockets must not inherit the listener's non-blocking mode;
-    // the per-call timeouts below are the deadline mechanism.
-    let _ = stream.set_nonblocking(false);
+    // The per-call timeouts are the deadline mechanism.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.cfg.read_timeout_ms.max(1))));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(shared.cfg.write_timeout_ms.max(1))));
     let mut summary = ConnSummary {

@@ -72,8 +72,8 @@ verdicts wire trace_complete chrome_trace_has_trace_events admin_health_serving 
   exposition_has_apf_serve_wire_quota_checked_total
 verdicts scale wire_requests_at_least_1e5 zero_untyped_client_failures \
   zero_typed_client_failures no_orphaned_worker_slots zero_server_panics \
-  wire_cache_hit_rate_ok batching_active engine_requests_completed baseline_uncached \
-  speedup_ok engine_cache_hit_rate_ok engine_batching_active
+  wire_connections_reused wire_cache_hit_rate_ok batching_active engine_requests_completed \
+  baseline_uncached speedup_ok engine_cache_hit_rate_ok engine_batching_active
 verdicts slide single_window_matches_full_image_path multi_window_matches_dense_stitch \
   distributed_bit_identical_to_serial peak_resident_within_budget output_covers_slide \
   one_cost_per_window speedup_4_workers_at_least_3x speedup_8_workers_at_least_5x
