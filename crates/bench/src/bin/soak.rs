@@ -21,7 +21,8 @@
 //!   hits, batches that form and one kept connection per client (only a
 //!   retry may open another); then in process, the batched and cached
 //!   engine must serve a repeated 256² pool at >= 2× the default engine
-//!   (uncached batches of one) at concurrency 16.
+//!   (uncached batches of one) at concurrency 16, comparing the fastest of
+//!   3 alternating attempts per engine.
 //! * `slide` — out-of-core stitching. On a slide that fits in memory, the
 //!   single- and multi-window stitches match the full-image path and the
 //!   dense windowed reference (1e-5), and a 3-worker distributed stitch
@@ -66,7 +67,7 @@ use apf_serve::wire::{
 };
 use apf_serve::{
     BreakerConfig, BreakerState, InferenceFaultKind, Outcome, SegRequest, ServeConfig, ServeEngine,
-    SlideRequest, Tier,
+    ServeReport, SlideRequest, Tier,
 };
 use apf_telemetry::{validate_jsonl, HistogramSnapshot, Telemetry, TelemetrySnapshot};
 use apf_tensor::prelude::Graph;
@@ -1057,9 +1058,10 @@ fn wire(quick: bool, seed: u64) {
 
 // ---- scale ------------------------------------------------------------
 
-/// Batches close at 16 requests or 2 ms of linger in both scale runs.
+/// Batches hold at most 16 requests in both scale runs.
 const MAX_BATCH: usize = 16;
-const BATCH_LINGER_MS: u64 = 2;
+/// Timed drives of each engine behind the in-process `speedup_ok` gate.
+const SPEEDUP_ATTEMPTS: usize = 3;
 
 fn scale(quick: bool, seed: u64) {
     let (clients, requests) = (16usize, if quick { 256u64 } else { 6_400 });
@@ -1072,7 +1074,7 @@ fn scale(quick: bool, seed: u64) {
             ("clients", clients as f64),
             ("requests_per_client", requests as f64),
             ("max_batch", MAX_BATCH as f64),
-            ("batch_linger_ms", BATCH_LINGER_MS as f64),
+            ("speedup_attempts", SPEEDUP_ATTEMPTS as f64),
             ("engine_requests", engine_total as f64),
             ("concurrency", concurrency as f64),
         ],
@@ -1091,7 +1093,7 @@ fn scale(quick: bool, seed: u64) {
         model_seed: seed,
         poll_ms: 1,
         telemetry: tel.clone(),
-        ..ServeConfig::small_batched(MAX_BATCH, BATCH_LINGER_MS)
+        ..ServeConfig::small_batched(MAX_BATCH)
     }));
     let server = WireServer::start(
         Arc::clone(&engine),
@@ -1113,7 +1115,7 @@ fn scale(quick: bool, seed: u64) {
     let addr = server.local_addr();
     println!(
         "soak scale: {clients} clients x {requests} requests ({wire_total} total) over {addr}, \
-         batching {MAX_BATCH}x{BATCH_LINGER_MS}ms"
+         batches of up to {MAX_BATCH}"
     );
     let pool = image_pool(32);
     let t0 = Instant::now();
@@ -1244,47 +1246,67 @@ fn scale(quick: bool, seed: u64) {
     };
     println!(
         "soak scale: baseline and batched engines, {engine_total} requests each, \
-         {concurrency} submitters"
+         {concurrency} submitters, {SPEEDUP_ATTEMPTS} alternating attempts"
     );
-    let (base_done, base_s, base) = drive(ServeConfig::small());
-    let (batched_done, batched_s, batched) =
-        drive(ServeConfig::small_batched(MAX_BATCH, BATCH_LINGER_MS));
+    // Host load drifts between phases of a run, so the two engines are
+    // driven in alternation (a tuple evaluates left to right) a fixed number
+    // of times each, and the gate compares each side's fastest attempt.
+    // Every attempt's wall time is archived.
+    let (base, batched): (Vec<_>, Vec<_>) = (0..SPEEDUP_ATTEMPTS)
+        .map(|_| (drive(ServeConfig::small()), drive(ServeConfig::small_batched(MAX_BATCH))))
+        .unzip();
+    let done = |runs: &[(u64, f64, ServeReport)]| runs.iter().map(|r| r.0).collect::<Vec<_>>();
+    let (base_done, batched_done) = (done(&base), done(&batched));
     r.check(
         "engine_requests_completed",
-        base_done == engine_total && batched_done == engine_total,
-        format_args!("baseline {base_done}, batched {batched_done} of {engine_total}"),
+        base_done.iter().chain(&batched_done).all(|&d| d == engine_total),
+        format_args!("baseline {base_done:?}, batched {batched_done:?} of {engine_total}"),
     );
     r.check(
         "baseline_uncached",
-        base.cache.is_none() && base.batch.as_ref().is_some_and(|b| b.mean_occupancy == 1.0),
-        format_args!("cache {:?}, batch {:?}", base.cache, base.batch),
+        base.iter().all(|(_, _, rep)| {
+            rep.cache.is_none() && rep.batch.as_ref().is_some_and(|b| b.mean_occupancy == 1.0)
+        }),
+        format_args!("{:?}", base.iter().map(|r| &r.2.batch).collect::<Vec<_>>()),
     );
-    let speedup = base_s / batched_s;
-    r.check(
-        "speedup_ok",
-        speedup >= 2.0,
-        format_args!("batched engine is only {speedup:.2}x the baseline (gate 2x)"),
-    );
-    let batch = batched.batch.clone().expect("batched engine reports batch stats");
-    let cache = batched.cache.clone().expect("batched engine reports cache stats");
+    let batch: Vec<_> = batched.iter().map(|r| r.2.batch.clone().expect("batch stats")).collect();
+    let cache: Vec<_> = batched.iter().map(|r| r.2.cache.clone().expect("cache stats")).collect();
+    let hit_rate = cache.iter().map(|c| c.hit_rate()).fold(f64::INFINITY, f64::min);
     r.check(
         "engine_cache_hit_rate_ok",
-        cache.hit_rate() >= 0.90,
-        format_args!("repeated pool landed {:.4} cache hits (gate 0.90)", cache.hit_rate()),
+        hit_rate >= 0.90,
+        format_args!("repeated pool landed {hit_rate:.4} cache hits (gate 0.90)"),
     );
-    r.check("engine_batching_active", batch.mean_occupancy > 1.0, format_args!("{batch:?}"));
+    let occupancy = batch.iter().map(|b| b.mean_occupancy).fold(f64::INFINITY, f64::min);
+    r.check("engine_batching_active", occupancy > 1.0, format_args!("{batch:?}"));
+    let secs = |runs: &[(u64, f64, ServeReport)]| runs.iter().map(|r| r.1).collect::<Vec<_>>();
+    let (base_s, batched_s) = (secs(&base), secs(&batched));
+    let fastest = |s: &[f64]| s.iter().copied().fold(f64::INFINITY, f64::min);
+    let speedup = fastest(&base_s) / fastest(&batched_s);
     for (name, v) in [
-        ("baseline_rps", engine_total as f64 / base_s),
-        ("batched_rps", engine_total as f64 / batched_s),
+        ("baseline_rps", engine_total as f64 / fastest(&base_s)),
+        ("batched_rps", engine_total as f64 / fastest(&batched_s)),
         ("speedup", speedup),
-        ("engine_mean_occupancy", batch.mean_occupancy),
-        ("engine_cache_hit_rate", cache.hit_rate()),
+        ("engine_mean_occupancy", occupancy),
+        ("engine_cache_hit_rate", hit_rate),
     ] {
         r.count(name, v);
     }
+    r.detail("baseline_attempts_s", &base_s);
+    r.detail("batched_attempts_s", &batched_s);
     r.detail("engine_batch", &batch);
     r.detail("engine_cache", &cache);
+    // Archived before it is asserted, so a failing run still leaves every
+    // attempt's wall time behind.
+    let speedup_ok = speedup >= 2.0;
+    r.record("speedup_ok", speedup_ok);
     r.finish();
+    assert!(
+        speedup_ok,
+        "soak scale: verdict `speedup_ok` failed: batched engine is only {speedup:.2}x the \
+         baseline (gate 2x), fastest of {SPEEDUP_ATTEMPTS} attempts each: baseline \
+         {base_s:.3?} s, batched {batched_s:.3?} s"
+    );
 }
 
 // ---- slide ------------------------------------------------------------

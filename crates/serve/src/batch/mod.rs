@@ -10,15 +10,13 @@
 //!
 //! Two cooperating pieces:
 //!
-//! * [`scheduler`] — the engine's only worker loop. It drains the
-//!   admission queue into batches closed at `max_batch` requests or
-//!   `batch_linger` expiry, whichever comes first; the default (`max_batch`
-//!   1, no linger) serves each request alone. Batches are homogeneous per
+//! * [`scheduler`] — the engine's only worker loop. Each batch takes what
+//!   is already queued, up to `max_batch` requests, and never waits for
+//!   company: under load, requests pile up during the previous forward, so
+//!   batches still form, and at low load nobody waits. The default
+//!   (`max_batch` 1) serves each request alone. Batches are homogeneous per
 //!   degradation tier (the tier decides the patch budget, and mixing
-//!   budgets would cross-subsidize latency); slides never batch. Requests
-//!   whose deadline expires while a batch lingers are evicted with a typed
-//!   `DeadlineExceeded { stage: Batching }` instead of dragging the whole
-//!   batch past its SLO.
+//!   budgets would cross-subsidize latency); slides never batch.
 //! * [`cache`] — a bounded content-addressed cache of preprocessed patch
 //!   sequences, keyed by image content hash / `APT1` tile CRCs plus the
 //!   preprocessing knobs, with byte-budgeted LRU eviction and single-flight
@@ -28,18 +26,14 @@ pub mod cache;
 pub mod scheduler;
 
 pub use cache::{CacheKey, CacheOutcome, CacheStats, ContentKey, PatchCache, VariantKey};
-pub use scheduler::{batch_aware_retry_after, BatchStatsSnapshot};
+pub use scheduler::BatchStatsSnapshot;
 
 /// Knobs of the batch scheduler and its preprocessing cache. The default
-/// serves every request alone (`max_batch` 1, no linger) with no cache.
+/// serves every request alone (`max_batch` 1) with no cache.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Close a forming batch once it holds this many requests.
+    /// Most requests one forward serves.
     pub max_batch: usize,
-    /// Close a forming batch this long after its first request even if it
-    /// is not full — the latency a lightly loaded request donates to
-    /// throughput.
-    pub batch_linger_ms: u64,
     /// Byte budget of the content-addressed preprocessing cache; `0`
     /// disables caching (every request rebuilds its quadtree, and nothing
     /// is hashed).
@@ -48,15 +42,17 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { max_batch: 1, batch_linger_ms: 0, cache_budget_bytes: 0 }
+        BatchConfig { max_batch: 1, cache_budget_bytes: 0 }
     }
 }
 
 impl BatchConfig {
-    /// Batches of up to `max_batch` requests gathered for at most
-    /// `batch_linger_ms`, with a 64 MiB preprocessing cache.
-    pub fn enabled(max_batch: usize, batch_linger_ms: u64) -> Self {
-        BatchConfig { max_batch: max_batch.max(1), batch_linger_ms, cache_budget_bytes: 64 << 20 }
+    /// Batches of up to `max_batch` already-queued requests, with a 64 MiB
+    /// preprocessing cache. The second argument is ignored and never
+    /// stored: it was a linger window, and it stays only until its callers
+    /// outside this workspace drop it.
+    pub fn enabled(max_batch: usize, _linger_ms: u64) -> Self {
+        BatchConfig { max_batch: max_batch.max(1), cache_budget_bytes: 64 << 20 }
     }
 }
 
@@ -67,14 +63,13 @@ mod tests {
     #[test]
     fn defaults_serve_batches_of_one_without_a_cache() {
         let cfg = BatchConfig::default();
-        assert_eq!((cfg.max_batch, cfg.batch_linger_ms, cfg.cache_budget_bytes), (1, 0, 0));
+        assert_eq!((cfg.max_batch, cfg.cache_budget_bytes), (1, 0));
     }
 
     #[test]
     fn enabled_clamps_max_batch_to_one() {
         let cfg = BatchConfig::enabled(0, 5);
         assert_eq!(cfg.max_batch, 1);
-        assert_eq!(cfg.batch_linger_ms, 5);
         assert!(cfg.cache_budget_bytes > 0);
     }
 }

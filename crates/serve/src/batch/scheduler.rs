@@ -2,20 +2,22 @@
 //! here. Each worker:
 //!
 //! 1. **Seeds** a batch with the next queued request (or the carry-over from
-//!    the previous window — see below). A seed whose deadline has passed is
-//!    answered `DeadlineExceeded { stage: Queued }` without being
-//!    dispatched. Slides are dispatched alone immediately: a whole-slide
-//!    stitch is minutes of work and would hold a linger window hostage.
-//! 2. **Gathers** compatible requests until the batch holds `max_batch`
-//!    requests or `batch_linger` has elapsed since the seed, whichever comes
-//!    first. Compatible = image payload at the *same degradation tier*; the
-//!    first incompatible pop becomes the seed of the next batch (the queue
-//!    has no push-front, so the scheduler carries it across iterations). At
-//!    the default `max_batch` 1 / linger 0 nothing is gathered.
-//! 3. **Evicts**, when the batch lingered, members whose deadline expired
-//!    while it formed, responding with `DeadlineExceeded { stage: Batching }`
-//!    — one stale request never rides (or delays) a fresh batch.
-//! 4. **Runs** one padded multi-request forward: sequences come from the
+//!    the previous gather — see below), waiting up to one poll tick for it.
+//!    A seed whose deadline has passed is answered
+//!    `DeadlineExceeded { stage: Queued }` without being dispatched. Slides
+//!    are dispatched alone immediately: a whole-slide stitch is minutes of
+//!    work and would hold its batch-mates hostage.
+//! 2. **Gathers** what is already queued, without waiting: it pops until
+//!    the queue is empty, the batch holds `max_batch` requests, or an
+//!    incompatible request turns up. Compatible = image payload at the
+//!    *same degradation tier*; the first incompatible pop becomes the seed
+//!    of the next batch (the queue has no push-front, so the scheduler
+//!    carries it across iterations). A popped request that has already
+//!    expired is answered `DeadlineExceeded { stage: Queued }` like an
+//!    expired seed. Under load, requests pile up during the previous
+//!    forward, so batches still form; at low load nobody waits for
+//!    company. At the default `max_batch` 1 nothing is gathered.
+//! 3. **Runs** one padded multi-request forward: sequences come from the
 //!    content-addressed [`PatchCache`] when one is configured, are padded to
 //!    the batch's longest length, and a per-request key-padding mask keeps
 //!    padding out of every sample's attention. Attention is block-diagonal
@@ -63,7 +65,6 @@ pub struct BatchStats {
     batches: AtomicU64,
     batched_requests: AtomicU64,
     max_occupancy: AtomicU64,
-    deadline_evictions: AtomicU64,
     solo_slides: AtomicU64,
 }
 
@@ -76,8 +77,6 @@ pub struct BatchStatsSnapshot {
     pub batched_requests: u64,
     /// Largest batch ever executed.
     pub max_occupancy: u64,
-    /// Requests evicted from a forming batch by their deadline.
-    pub deadline_evictions: u64,
     /// Slide requests dispatched solo (never batched).
     pub solo_slides: u64,
     /// Mean requests per executed batch (0 when no batch ran).
@@ -93,7 +92,6 @@ impl BatchStats {
             batches,
             batched_requests,
             max_occupancy: self.max_occupancy.load(Ordering::Relaxed),
-            deadline_evictions: self.deadline_evictions.load(Ordering::Relaxed),
             solo_slides: self.solo_slides.load(Ordering::Relaxed),
             mean_occupancy: if batches == 0 {
                 0.0
@@ -109,9 +107,8 @@ impl BatchStats {
 #[derive(Clone)]
 pub(crate) struct BatchTel {
     pub(crate) occupancy: Histogram,
-    pub(crate) linger_s: Histogram,
+    pub(crate) gather_s: Histogram,
     pub(crate) batches: Counter,
-    pub(crate) deadline_evictions: Counter,
 }
 
 impl BatchTel {
@@ -121,35 +118,18 @@ impl BatchTel {
                 "apf_serve_batch_occupancy_count",
                 "Requests per executed batch forward",
             ),
-            linger_s: tel.histogram(
+            // The name predates the no-wait gather; it stays because
+            // perfbench's `engine_repeat` reads it.
+            gather_s: tel.histogram(
                 "apf_serve_batch_linger_seconds",
-                "Time each batch spent forming (seed pop to close)",
+                "Time each batch spent gathering queued requests (seed pop to close)",
             ),
             batches: tel.counter(
                 "apf_serve_batches_total",
                 "Image forwards executed (a batch of one counts)",
             ),
-            deadline_evictions: tel.counter(
-                "apf_serve_batch_deadline_evictions_total",
-                "Requests evicted from a forming batch by their deadline",
-            ),
         }
     }
-}
-
-/// Extends a base (quota / queue-load) backoff hint with the delay a new
-/// request would actually see under batching: every `max_batch` requests
-/// already queued ahead of it is roughly one more linger window before its
-/// batch even closes. Monotone non-decreasing in `depth`; with an empty
-/// queue only one linger window is added.
-pub fn batch_aware_retry_after(
-    base_ms: u64,
-    depth: usize,
-    max_batch: usize,
-    batch_linger_ms: u64,
-) -> u64 {
-    let windows = (depth / max_batch.max(1)) as u64 + 1;
-    base_ms.saturating_add(batch_linger_ms.saturating_mul(windows))
 }
 
 pub(crate) fn batch_worker_loop(
@@ -172,9 +152,6 @@ pub(crate) fn batch_worker_loop(
     // next one (the bounded queue has no push-front).
     let mut carry: Option<QueuedRequest> = None;
     let poll = Duration::from_millis(cfg.poll_ms.max(1));
-    // Without a linger window there is no forming stage to miss a deadline
-    // in: an expired member meets the forward's cancel token instead.
-    let lingers = cfg.batch.max_batch > 1 && cfg.batch.batch_linger_ms > 0;
     loop {
         // allow() can itself transition (open -> half-open after cooldown).
         let allowed = breaker.allow();
@@ -205,67 +182,29 @@ pub(crate) fn batch_worker_loop(
         }
         let mut batch = vec![seed];
         if matches!(batch[0].payload, Payload::Image(_)) {
-            // Gather: close at max_batch or linger expiry, whichever first.
+            // Gather what is already queued; never wait for company.
             let formed_at = Instant::now();
-            let close_at = formed_at + Duration::from_millis(cfg.batch.batch_linger_ms);
             while batch.len() < cfg.batch.max_batch {
-                let now = Instant::now();
-                if now >= close_at {
-                    break;
+                // Empty, or closed and drained: this batch is still served,
+                // and the next outer pop observes Closed and exits.
+                let Popped::Item(q) = shared.queue.try_pop() else { break };
+                shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
+                if q.deadline.is_some_and(|d| Instant::now() >= d) {
+                    // Expired before joining any batch: a queue-stage miss,
+                    // same as an expired seed.
+                    let outcome = Outcome::DeadlineExceeded { stage: DeadlineStage::Queued };
+                    shared.respond(q, outcome, Some(idx));
+                    continue;
                 }
-                match shared.queue.pop_timeout(close_at - now) {
-                    // Closed-and-drained still has this batch to serve; the
-                    // next outer pop observes Closed again and exits.
-                    Popped::Closed | Popped::Empty => break,
-                    Popped::Item(q) => {
-                        shared.tm.queue_wait_s.record(q.submitted.elapsed().as_secs_f64());
-                        if q.deadline.is_some_and(|d| Instant::now() >= d) {
-                            // Expired before joining any batch: a queue-stage
-                            // miss, same as an expired seed.
-                            shared.respond(
-                                q,
-                                Outcome::DeadlineExceeded { stage: DeadlineStage::Queued },
-                                Some(idx),
-                            );
-                            continue;
-                        }
-                        let compatible =
-                            matches!(q.payload, Payload::Image(_)) && q.tier == batch[0].tier;
-                        if compatible {
-                            batch.push(q);
-                        } else {
-                            carry = Some(q);
-                            break;
-                        }
-                    }
+                if matches!(q.payload, Payload::Image(_)) && q.tier == batch[0].tier {
+                    batch.push(q);
+                } else {
+                    carry = Some(q);
+                    break;
                 }
             }
             shared.tm.queue_depth.set(shared.queue.len() as f64);
-            btel.linger_s.record(formed_at.elapsed().as_secs_f64());
-            if lingers {
-                // Deadline eviction at close: a member that expired while
-                // the batch formed is answered typed and dropped, never
-                // forwarded.
-                let now = Instant::now();
-                let (expired, ready): (Vec<_>, Vec<_>) =
-                    batch.into_iter().partition(|q| q.deadline.is_some_and(|d| now >= d));
-                for q in expired {
-                    stats.deadline_evictions.fetch_add(1, Ordering::Relaxed);
-                    btel.deadline_evictions.inc();
-                    shared.tm.tel.flight("batch_deadline_eviction", || {
-                        format!("worker={idx} id={}", q.payload.id())
-                    });
-                    shared.respond(
-                        q,
-                        Outcome::DeadlineExceeded { stage: DeadlineStage::Batching },
-                        Some(idx),
-                    );
-                }
-                if ready.is_empty() {
-                    continue;
-                }
-                batch = ready;
-            }
+            btel.gather_s.record(formed_at.elapsed().as_secs_f64());
             btel.batches.inc();
             btel.occupancy.record(batch.len() as f64);
             stats.batches.fetch_add(1, Ordering::Relaxed);
@@ -499,25 +438,6 @@ fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retry_hint_grows_with_queue_depth_and_linger() {
-        // One linger window minimum, one more per max_batch of queued work.
-        assert_eq!(batch_aware_retry_after(25, 0, 16, 2), 27);
-        assert_eq!(batch_aware_retry_after(25, 15, 16, 2), 27);
-        assert_eq!(batch_aware_retry_after(25, 16, 16, 2), 29);
-        assert_eq!(batch_aware_retry_after(25, 64, 16, 2), 35);
-        // Monotone in depth.
-        let mut last = 0;
-        for depth in 0..200 {
-            let h = batch_aware_retry_after(25, depth, 8, 3);
-            assert!(h >= last, "hint regressed at depth {depth}");
-            last = h;
-        }
-        // Degenerate knobs neither divide by zero nor overflow.
-        assert_eq!(batch_aware_retry_after(10, 5, 0, 1), 16);
-        assert_eq!(batch_aware_retry_after(u64::MAX, 100, 4, u64::MAX), u64::MAX);
-    }
 
     #[test]
     fn batch_stats_snapshot_computes_mean_occupancy() {

@@ -11,7 +11,7 @@
 //!    |           |                                 |               |
 //!    |      InvalidInput                    Rejected{retry}        |
 //!    |                                                             v
-//!    |                         deadline check -> gather (max_batch, linger)
+//!    |                deadline check -> gather what is queued (max_batch)
 //!    |                            -> patchify(tier budget, cache if any)
 //!    |                            -> cancellable padded forward -> NaN guard
 //!    +---- Ticket <------------------------------ SegResponse ----+
@@ -38,7 +38,7 @@ use apf_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceContext};
 use serde::Serialize;
 
 use crate::batch::scheduler::{batch_worker_loop, BatchStats, BatchTel};
-use crate::batch::{batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
+use crate::batch::{BatchConfig, BatchStatsSnapshot, CacheStats, PatchCache};
 use crate::breaker::{BreakerConfig, BreakerState, BreakerTransition};
 use crate::degrade::{DegradationPolicy, Tier};
 use crate::fault::InferenceFaultKind;
@@ -111,8 +111,8 @@ impl ServeConfig {
     /// [`ServeConfig::small`] with multi-request batches and the
     /// preprocessing cache — the test/bench shorthand for the batched
     /// engine.
-    pub fn small_batched(max_batch: usize, batch_linger_ms: u64) -> Self {
-        ServeConfig { batch: BatchConfig::enabled(max_batch, batch_linger_ms), ..Self::small() }
+    pub fn small_batched(max_batch: usize) -> Self {
+        ServeConfig { batch: BatchConfig::enabled(max_batch, 0), ..Self::small() }
     }
 }
 
@@ -136,7 +136,6 @@ pub(crate) struct ServeTel {
     outcome_rejected: Counter,
     outcome_invalid: Counter,
     outcome_deadline_queued: Counter,
-    outcome_deadline_batching: Counter,
     outcome_deadline_inference: Counter,
     outcome_deadline_stitching: Counter,
     outcome_worker_panic: Counter,
@@ -203,7 +202,6 @@ impl ServeTel {
             outcome_rejected: outcome("rejected"),
             outcome_invalid: outcome("invalid_input"),
             outcome_deadline_queued: outcome("deadline_queued"),
-            outcome_deadline_batching: outcome("deadline_batching"),
             outcome_deadline_inference: outcome("deadline_inference"),
             outcome_deadline_stitching: outcome("deadline_stitching"),
             outcome_worker_panic: outcome("worker_panic"),
@@ -229,9 +227,6 @@ impl ServeTel {
             Outcome::InvalidInput { .. } => self.outcome_invalid.inc(),
             Outcome::DeadlineExceeded { stage: DeadlineStage::Queued } => {
                 self.outcome_deadline_queued.inc()
-            }
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Batching } => {
-                self.outcome_deadline_batching.inc()
             }
             Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { .. } } => {
                 self.outcome_deadline_inference.inc()
@@ -273,8 +268,6 @@ pub struct ServeMetrics {
     pub invalid_input: u64,
     /// Deadlines blown while queued.
     pub deadline_queued: u64,
-    /// Deadlines blown while a batch was forming (evicted before forward).
-    pub deadline_batching: u64,
     /// Deadlines blown mid-forward (cooperative cancellation).
     pub deadline_inference: u64,
     /// Deadlines blown between stitching windows of a slide request.
@@ -301,9 +294,6 @@ impl ServeMetrics {
             Outcome::DeadlineExceeded { stage: DeadlineStage::Queued } => {
                 self.deadline_queued += 1
             }
-            Outcome::DeadlineExceeded { stage: DeadlineStage::Batching } => {
-                self.deadline_batching += 1
-            }
             Outcome::DeadlineExceeded { stage: DeadlineStage::Inference { .. } } => {
                 self.deadline_inference += 1
             }
@@ -329,7 +319,6 @@ impl ServeMetrics {
             + self.rejected
             + self.invalid_input
             + self.deadline_queued
-            + self.deadline_batching
             + self.deadline_inference
             + self.deadline_stitching
             + self.worker_panics
@@ -619,20 +608,10 @@ impl ServeEngine {
     /// queue currently is, so backoff-honoring clients spread their retries
     /// instead of reconverging on an already-drowning engine. Front doors
     /// reuse this hint for their own refusals (quota, drain `GoAway`).
-    ///
-    /// The hint additionally accounts for the linger window and batch-queue
-    /// occupancy: a retry that lands before the current backlog's batches
-    /// have even closed is wasted, so the hint grows by one linger per
-    /// `max_batch` of queued work (plus the window the retry itself will
-    /// sit in). With no linger window this adds nothing.
+    /// Batching does not change it: no batch waits for company.
     pub fn retry_after_hint(&self) -> u64 {
         let depth = self.shared.queue.len();
-        batch_aware_retry_after(
-            load_aware_retry_after(self.cfg.retry_after_ms, depth, self.shared.queue.capacity()),
-            depth,
-            self.cfg.batch.max_batch,
-            self.cfg.batch.batch_linger_ms,
-        )
+        load_aware_retry_after(self.cfg.retry_after_ms, depth, self.shared.queue.capacity())
     }
 
     /// Preprocessing-cache counters; `None` when the cache is off.

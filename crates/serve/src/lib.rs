@@ -57,8 +57,8 @@ pub mod request;
 pub mod wire;
 
 pub use batch::{
-    batch_aware_retry_after, BatchConfig, BatchStatsSnapshot, CacheKey, CacheOutcome, CacheStats,
-    ContentKey, PatchCache, VariantKey,
+    BatchConfig, BatchStatsSnapshot, CacheKey, CacheOutcome, CacheStats, ContentKey, PatchCache,
+    VariantKey,
 };
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker};
 pub use degrade::{coarse_uniform_sequence, DegradationPolicy, Tier};

@@ -22,12 +22,12 @@ pub enum PushError {
     Closed,
 }
 
-/// Result of a blocking pop.
+/// Result of a pop.
 #[derive(Debug)]
 pub enum Popped<T> {
     /// An item was dequeued.
     Item(T),
-    /// The timeout elapsed with nothing available.
+    /// Nothing was available (within the timeout, for a blocking pop).
     Empty,
     /// The queue is closed *and* drained; the worker should exit.
     Closed,
@@ -40,7 +40,8 @@ struct Inner<T> {
 }
 
 /// A fixed-capacity MPMC queue: non-blocking producers (admission control),
-/// blocking consumers (workers).
+/// blocking consumers (workers), and a non-blocking pop for a worker that
+/// gathers only what is already queued.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -106,6 +107,19 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Non-blocking dequeue: the head item if there is one, else
+    /// [`Popped::Empty`] at once, never entering the condvar wait. Like
+    /// [`BoundedQueue::pop_timeout`], a closed queue yields its remaining
+    /// items before it reports [`Popped::Closed`].
+    pub fn try_pop(&self) -> Popped<T> {
+        let mut st = self.inner.lock().unwrap();
+        match st.items.pop_front() {
+            Some(item) => Popped::Item(item),
+            None if st.closed => Popped::Closed,
+            None => Popped::Empty,
+        }
+    }
+
     /// Current depth.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().items.len()
@@ -163,6 +177,37 @@ mod tests {
         assert_eq!(q.try_push(8), Err((8, PushError::Closed)));
         assert!(matches!(q.pop_timeout(Duration::from_millis(1)), Popped::Item(7)));
         assert!(matches!(q.pop_timeout(Duration::from_millis(1)), Popped::Closed));
+    }
+
+    #[test]
+    fn try_pop_is_fifo() {
+        let q = BoundedQueue::new(4);
+        for i in 1..=3 {
+            q.try_push(i).unwrap();
+        }
+        for i in 1..=3 {
+            assert!(matches!(q.try_pop(), Popped::Item(x) if x == i));
+        }
+    }
+
+    #[test]
+    fn try_pop_on_an_empty_queue_returns_at_once() {
+        let q = BoundedQueue::<u32>::new(1);
+        let t0 = std::time::Instant::now();
+        assert!(matches!(q.try_pop(), Popped::Empty));
+        // No wait at all; the bound only absorbs a descheduled thread.
+        assert!(t0.elapsed() < Duration::from_millis(500));
+    }
+
+    #[test]
+    fn try_pop_drains_a_closed_queue_then_reports_closed() {
+        let q = BoundedQueue::new(4);
+        q.try_push(7).unwrap();
+        q.try_push(8).unwrap();
+        q.close();
+        assert!(matches!(q.try_pop(), Popped::Item(7)));
+        assert!(matches!(q.try_pop(), Popped::Item(8)));
+        assert!(matches!(q.try_pop(), Popped::Closed));
     }
 
     #[test]

@@ -79,16 +79,15 @@ impl SlideRequest {
     }
 }
 
-/// Where a deadline was detected as blown.
+/// Where a deadline was detected as blown. An image request meets only
+/// `Queued` and `Inference`: a worker gathers its batch from what is already
+/// queued, so no stage lies between the two. Slides add `Stitching`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineStage {
-    /// Expired while still queued; no inference work was spent on it.
+    /// Expired while still queued, found when a worker popped it as a seed
+    /// or while gathering a batch; it was never forwarded, and no inference
+    /// work was spent on it.
     Queued,
-    /// Expired while a batch was forming: the request joined a batch inside
-    /// its deadline but the linger window outlived it, so the scheduler
-    /// evicted it before the forward rather than let one stale request ride
-    /// (and tax) a fresh batch.
-    Batching,
     /// Expired mid-forward-pass; the encoder abandoned the stack
     /// cooperatively after this many completed blocks.
     Inference {

@@ -726,7 +726,9 @@ pub enum WireStatus {
     },
     /// The deadline expired before a result was produced.
     DeadlineExceeded {
-        /// `DeadlineStage` rank: 0 queued, 1 inference, 2 stitching.
+        /// `DeadlineStage` rank: 0 queued, 1 inference, 2 stitching. Code 3
+        /// is reserved (it named a batch-forming stage that no longer
+        /// exists) and is never sent.
         stage: u8,
     },
     /// The assigned worker failed (contained panic / non-finite output).

@@ -655,9 +655,8 @@ fn respond_to_admin(shared: &WireShared, frame: &Frame) -> AdminResponse {
 fn respond_to_frame(shared: &WireShared, frame: &Frame) -> WireStatus {
     // Quota first: over-quota tenants must not cost the engine anything.
     // The hint is the *max* of the bucket's refill time and the engine's
-    // load/batch-aware backoff: retrying the moment tokens refill is
-    // useless if the retry would only sit through the backlog's linger
-    // windows anyway.
+    // load-aware backoff: retrying the moment tokens refill is useless if
+    // the retry would only queue behind the backlog anyway.
     if let Err(quota_ms) = shared.quotas.try_acquire(frame.tenant) {
         return WireStatus::OverQuota {
             retry_after_ms: quota_ms.max(shared.engine.retry_after_hint()),
@@ -732,7 +731,6 @@ pub fn status_for_response(resp: &SegResponse) -> WireStatus {
                 DeadlineStage::Queued => 0,
                 DeadlineStage::Inference { .. } => 1,
                 DeadlineStage::Stitching { .. } => 2,
-                DeadlineStage::Batching => 3,
             },
         },
         Outcome::WorkerFailure { reason } => WireStatus::WorkerFailure {

@@ -870,7 +870,6 @@ mod tests {
             ("apf_serve_batch_occupancy_count", true),
             ("apf_serve_batch_linger_seconds", true),
             ("apf_serve_batches_total", false),
-            ("apf_serve_batch_deadline_evictions_total", false),
             ("apf_serve_batch_cache_lookups_total", false),
             ("apf_serve_batch_cache_evictions_total", false),
             ("apf_serve_batch_cache_resident_bytes", false),
