@@ -47,8 +47,8 @@ pub enum PatchError {
         /// The offending value.
         value: f32,
     },
-    /// The variance split criterion was evaluated without its
-    /// squared-pixel integral image (internal invariant violation).
+    /// The variance split criterion was evaluated without the sum of
+    /// squared pixel values (internal invariant violation).
     MissingSquaredIntegral,
 }
 
@@ -71,7 +71,7 @@ impl std::fmt::Display for PatchError {
                 write!(f, "pixel ({x}, {y}) is non-finite ({value})")
             }
             PatchError::MissingSquaredIntegral => {
-                write!(f, "variance criterion requires the squared integral image")
+                write!(f, "variance criterion requires the sum of squared pixel values")
             }
         }
     }

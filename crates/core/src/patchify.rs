@@ -211,12 +211,8 @@ mod tests {
                 0.0
             }
         });
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 8.0 },
-            max_depth: 5,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: 8.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 5, min_leaf: 2 };
         (img, QuadTree::build(&edges, &cfg))
     }
 

@@ -57,7 +57,6 @@ impl PatcherConfig {
                 criterion: SplitCriterion::EdgeCount { split_value: 100.0 },
                 max_depth: PAPER_DEPTHS[idx],
                 min_leaf: 2,
-                balance_2to1: false,
             },
             patch_size: 4,
             target_len: None,
@@ -278,19 +277,7 @@ impl AdaptivePatcher {
     /// enforces, exposed so admission control can reject a request before
     /// paying for blur and Canny.
     pub fn validate_input(img: &GrayImage, cfg: &QuadTreeConfig) -> Result<(), PatchError> {
-        let (w, h) = (img.width(), img.height());
-        if w == 0 || h == 0 {
-            return Err(PatchError::Empty { width: w, height: h });
-        }
-        if w != h {
-            return Err(PatchError::NotSquare { width: w, height: h });
-        }
-        if !w.is_power_of_two() {
-            return Err(PatchError::NonPowerOfTwo { size: w });
-        }
-        if w < 2 * cfg.min_leaf as usize {
-            return Err(PatchError::TooSmall { size: w, min_required: 2 * cfg.min_leaf as usize });
-        }
+        QuadTree::validate_geometry(img.width(), img.height(), cfg)?;
         img.validate_finite().map_err(PatchError::from)
     }
 

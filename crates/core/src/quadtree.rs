@@ -3,11 +3,15 @@
 //! A quadrant `Q_h` is subdivided into `{Q_NW, Q_NE, Q_SW, Q_SE}` while the
 //! detail measure inside it exceeds the split value `v` and the depth bound
 //! `H` has not been reached. With the paper's edge-count criterion the detail
-//! measure is the number of Canny edge pixels in the quadrant, evaluated in
-//! O(1) via an integral image.
+//! measure is the number of Canny edge pixels in the quadrant, read in O(1)
+//! from a pyramid of aligned quadrant sums.
+//!
+//! There is one builder, [`QuadTree::try_build_tiled`], which reads the
+//! detail map tile by tile. [`QuadTree::try_build`] runs it over one
+//! resident tile; the out-of-core builder in `apf-gigapixel` runs it over a
+//! bounded tile cache.
 
 use apf_imaging::image::GrayImage;
-use apf_imaging::integral::IntegralImage;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PatchError;
@@ -37,10 +41,8 @@ impl SplitCriterion {
     /// squares (required by [`SplitCriterion::Variance`], ignored by
     /// [`SplitCriterion::EdgeCount`]) and `area` the pixel count.
     ///
-    /// This is the single source of truth for Eq. 6: both the in-memory
-    /// [`QuadTree::try_build`] and the out-of-core streaming builder in
-    /// `apf-gigapixel` feed their (identically-valued) sums through this
-    /// function, which is what makes the two builds bit-identical.
+    /// This is the single source of truth for Eq. 6: every split decision
+    /// of [`QuadTree::try_build_tiled`] goes through it.
     #[inline]
     pub fn exceeds(&self, sum: f64, sq_sum: Option<f64>, area: f64) -> Result<bool, PatchError> {
         match *self {
@@ -63,12 +65,6 @@ pub struct QuadTreeConfig {
     pub max_depth: u8,
     /// Smallest allowed leaf side in pixels (paper goes down to 2).
     pub min_leaf: u32,
-    /// Enforce the AMR 2:1 balance rule (§II-A of the paper: "at most one
-    /// level of refinement difference is typically allowed between
-    /// neighboring quadrants"). APF itself does not require it — the
-    /// transformer consumes leaves at any size ratio — but balanced trees
-    /// bound the scale jump between sequence-adjacent patches.
-    pub balance_2to1: bool,
 }
 
 impl Default for QuadTreeConfig {
@@ -77,7 +73,6 @@ impl Default for QuadTreeConfig {
             criterion: SplitCriterion::EdgeCount { split_value: 100.0 },
             max_depth: 9,
             min_leaf: 2,
-            balance_2to1: false,
         }
     }
 }
@@ -112,7 +107,7 @@ impl LeafRegion {
 }
 
 /// Leaf and depth statistics of a built tree, computed once at the end of
-/// construction (after Z-sorting and any 2:1 balancing) and stored on the
+/// construction (after Z-sorting) and stored on the
 /// tree, so consumers — stats reports, bench binaries, telemetry gauges —
 /// read them instead of re-walking the leaves.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -197,232 +192,95 @@ impl QuadTree {
 
     /// Fallible tree construction: validates the detail image and returns a
     /// typed [`PatchError`] instead of panicking, so serving paths can turn
-    /// bad input into a structured rejection.
+    /// bad input into a structured rejection. This is
+    /// [`QuadTree::try_build_tiled`] over one resident tile, the whole image.
     pub fn try_build(detail: &GrayImage, cfg: &QuadTreeConfig) -> Result<QuadTree, PatchError> {
-        let (w, h) = (detail.width(), detail.height());
-        if w == 0 || h == 0 {
-            return Err(PatchError::Empty { width: w, height: h });
+        let z = Self::validate_geometry(detail.width(), detail.height(), cfg)?;
+        Self::try_build_tiled(z, z, cfg, |_, _| Ok(detail.data()))
+    }
+
+    /// The geometry every build requires, checked in this order: no zero
+    /// side, square, power-of-two side, side at least `2 * min_leaf`.
+    /// Returns the side `Z`.
+    ///
+    /// # Panics
+    /// Panics if `cfg.min_leaf` is 0.
+    pub fn validate_geometry(
+        width: usize,
+        height: usize,
+        cfg: &QuadTreeConfig,
+    ) -> Result<usize, PatchError> {
+        if width == 0 || height == 0 {
+            return Err(PatchError::Empty { width, height });
         }
-        if w != h {
-            return Err(PatchError::NotSquare { width: w, height: h });
+        if width != height {
+            return Err(PatchError::NotSquare { width, height });
         }
-        let z = w;
-        if !z.is_power_of_two() {
-            return Err(PatchError::NonPowerOfTwo { size: z });
+        if !width.is_power_of_two() {
+            return Err(PatchError::NonPowerOfTwo { size: width });
         }
         assert!(cfg.min_leaf >= 1, "min_leaf must be at least 1");
-        if z < 2 * cfg.min_leaf as usize {
-            return Err(PatchError::TooSmall { size: z, min_required: 2 * cfg.min_leaf as usize });
+        let min_required = 2 * cfg.min_leaf as usize;
+        if width < min_required {
+            return Err(PatchError::TooSmall { size: width, min_required });
         }
-        detail.validate_finite().map_err(PatchError::from)?;
-
-        let sums = IntegralImage::new(detail);
-        // For the variance criterion we also need sums of squares.
-        let sq_sums = match cfg.criterion {
-            SplitCriterion::Variance { .. } => {
-                let sq = GrayImage::from_raw(
-                    z,
-                    z,
-                    detail.data().iter().map(|&v| v * v).collect(),
-                );
-                Some(IntegralImage::new(&sq))
-            }
-            SplitCriterion::EdgeCount { .. } => None,
-        };
-
-        let mut tree = QuadTree {
-            resolution: z,
-            leaves: Vec::new(),
-            max_depth_reached: 0,
-            nodes_visited: 0,
-            stats: TreeStats::empty(),
-        };
-        tree.subdivide(&sums, sq_sums.as_ref(), cfg, 0, 0, z as u32, 0)?;
-        Ok(Self::from_leaves(z, cfg, tree.leaves, tree.max_depth_reached, tree.nodes_visited))
+        Ok(width)
     }
 
-    /// Assembles a tree from raw subdivision output: applies the optional
-    /// 2:1 balance pass, Z-sorts the leaves, and freezes statistics.
+    /// The quadtree builder. It reads the `z x z` detail map as aligned
+    /// `tile x tile` tiles: `fetch(tx, ty)` returns the row-major pixels of
+    /// the tile whose corner is `(tx * tile, ty * tile)`.
     ///
-    /// [`QuadTree::try_build`] and the streaming out-of-core builder in
-    /// `apf-gigapixel` both finish through this function, so every
-    /// post-processing step (balancing, ordering, stats) is shared and the
-    /// two construction paths can only diverge in the subdivision itself.
-    pub fn from_leaves(
-        resolution: usize,
+    /// Phase A fetches each tile once and builds its sum pyramid: base
+    /// cells sum their pixels in `f64`, row-major, and each level above
+    /// sums 2x2 cells in NW, NE, SW, SE order. Base cells are the smallest
+    /// quadrant whose split is ever decided, `max(next_pow2(2 * min_leaf),
+    /// z >> (max_depth - 1))`, capped at the tile side. The tile totals
+    /// feed the same pyramid over the tile grid, so the addition tree
+    /// behind every sum depends only on the base cell. Phase B runs Eq. 6
+    /// top-down on those sums, re-fetching a tile only to descend inside
+    /// it; the last tile's pyramid stays in a one-slot memo.
+    ///
+    /// The first tile holding a non-finite pixel fails the build with
+    /// [`PatchError::NonFinitePixel`] at its first one in row-major order.
+    ///
+    /// Callers check `z` with [`QuadTree::validate_geometry`] first.
+    ///
+    /// # Panics
+    /// Panics unless `z` and `tile` are powers of two with `tile <= z`, and
+    /// every fetched tile holds `tile * tile` pixels.
+    pub fn try_build_tiled<P, E>(
+        z: usize,
+        tile: usize,
         cfg: &QuadTreeConfig,
-        leaves: Vec<LeafRegion>,
-        max_depth_reached: u8,
-        nodes_visited: usize,
-    ) -> QuadTree {
-        let mut tree = QuadTree {
-            resolution,
+        mut fetch: impl FnMut(u32, u32) -> Result<P, E>,
+    ) -> Result<QuadTree, E>
+    where
+        P: std::ops::Deref,
+        P::Target: AsRef<[f32]>,
+        E: From<PatchError>,
+    {
+        assert!(
+            z.is_power_of_two() && tile.is_power_of_two() && tile <= z,
+            "a {z}x{z} quadtree cannot be built from {tile}x{tile} tiles"
+        );
+        let cell = base_cell(z, tile, cfg);
+        let need_sq = matches!(cfg.criterion, SplitCriterion::Variance { .. });
+        let mut summed = |tx: u32, ty: u32| -> Result<Sums, E> {
+            let pixels = fetch(tx, ty)?;
+            Ok(tile_sums((*pixels).as_ref(), tile, cell, need_sq, (tx, ty))?)
+        };
+        let mut d = Descent::sum_tiles(z, tile, cfg, &mut summed)?;
+        d.subdivide(&mut summed, 0, 0, z as u32, 0)?;
+        let mut leaves = d.leaves;
+        leaves.sort_by_key(LeafRegion::morton);
+        Ok(QuadTree {
+            resolution: z,
+            stats: TreeStats::compute(&leaves),
             leaves,
-            max_depth_reached,
-            nodes_visited,
-            stats: TreeStats::empty(),
-        };
-        if cfg.balance_2to1 {
-            tree.enforce_2to1_balance(cfg);
-        }
-        tree.leaves.sort_by_key(LeafRegion::morton);
-        // Single stats pass over the final leaf set; everything downstream
-        // (PatchStats, benches, telemetry gauges) reads the stored copy.
-        tree.stats = TreeStats::compute(&tree.leaves);
-        tree
-    }
-
-    /// Repeatedly splits any leaf with an edge-adjacent neighbour more than
-    /// one refinement level finer, until the 2:1 invariant holds.
-    /// Terminates because every pass strictly refines and depth/min-size
-    /// bounds cap refinement.
-    fn enforce_2to1_balance(&mut self, cfg: &QuadTreeConfig) {
-        loop {
-            // Coverage grid at the tree's finest granularity: cell (cx, cy)
-            // holds the size of the leaf covering it.
-            let gran = self.leaves.iter().map(|l| l.size).min().unwrap_or(1).max(1);
-            let g = (self.resolution as u32 / gran) as usize;
-            assert!(
-                g * g <= 1 << 26,
-                "2:1 balancing needs a {}x{} coverage grid; disable balance_2to1 at this scale",
-                g,
-                g
-            );
-            let mut size_at = vec![0u32; g * g];
-            for l in &self.leaves {
-                let cells = (l.size / gran) as usize;
-                let cx0 = (l.x / gran) as usize;
-                let cy0 = (l.y / gran) as usize;
-                for cy in cy0..cy0 + cells {
-                    for cx in cx0..cx0 + cells {
-                        size_at[cy * g + cx] = l.size;
-                    }
-                }
-            }
-            let finer_than = |cx: i64, cy: i64, threshold: u32| -> bool {
-                if cx < 0 || cy < 0 || cx >= g as i64 || cy >= g as i64 {
-                    return false;
-                }
-                let s = size_at[cy as usize * g + cx as usize];
-                s > 0 && s < threshold
-            };
-
-            let mut to_split = Vec::new();
-            for (i, l) in self.leaves.iter().enumerate() {
-                if l.size < 2 * cfg.min_leaf || l.depth >= cfg.max_depth {
-                    continue;
-                }
-                let threshold = l.size / 2;
-                let cx0 = (l.x / gran) as i64;
-                let cy0 = (l.y / gran) as i64;
-                let cells = (l.size / gran) as i64;
-                let mut violates = false;
-                for t in 0..cells {
-                    if finer_than(cx0 - 1, cy0 + t, threshold)
-                        || finer_than(cx0 + cells, cy0 + t, threshold)
-                        || finer_than(cx0 + t, cy0 - 1, threshold)
-                        || finer_than(cx0 + t, cy0 + cells, threshold)
-                    {
-                        violates = true;
-                        break;
-                    }
-                }
-                if violates {
-                    to_split.push(i);
-                }
-            }
-            if to_split.is_empty() {
-                return;
-            }
-            to_split.sort_unstable_by(|a, b| b.cmp(a));
-            for i in to_split {
-                let l = self.leaves.swap_remove(i);
-                let half = l.size / 2;
-                for (dx, dy) in [(0, 0), (half, 0), (0, half), (half, half)] {
-                    self.leaves.push(LeafRegion {
-                        x: l.x + dx,
-                        y: l.y + dy,
-                        size: half,
-                        depth: l.depth + 1,
-                    });
-                }
-                self.max_depth_reached = self.max_depth_reached.max(l.depth + 1);
-            }
-        }
-    }
-
-    /// Verifies the AMR 2:1 invariant: no leaf has an edge-adjacent leaf
-    /// smaller than half its side.
-    pub fn validate_2to1_balance(&self) -> Result<(), String> {
-        for a in &self.leaves {
-            for b in &self.leaves {
-                if b.size >= a.size / 2 {
-                    continue;
-                }
-                // Edge adjacency: share a border segment.
-                let horizontally_adjacent = (b.x + b.size == a.x || a.x + a.size == b.x)
-                    && b.y < a.y + a.size
-                    && a.y < b.y + b.size;
-                let vertically_adjacent = (b.y + b.size == a.y || a.y + a.size == b.y)
-                    && b.x < a.x + a.size
-                    && a.x < b.x + b.size;
-                if horizontally_adjacent || vertically_adjacent {
-                    return Err(format!("2:1 violation: {:?} touches much finer {:?}", a, b));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn subdivide(
-        &mut self,
-        sums: &IntegralImage,
-        sq_sums: Option<&IntegralImage>,
-        cfg: &QuadTreeConfig,
-        x: u32,
-        y: u32,
-        size: u32,
-        depth: u8,
-    ) -> Result<(), PatchError> {
-        self.nodes_visited += 1;
-        self.max_depth_reached = self.max_depth_reached.max(depth);
-
-        let can_split = depth < cfg.max_depth && size >= 2 * cfg.min_leaf && size >= 2;
-        let wants_split = can_split && self.detail_exceeds(sums, sq_sums, cfg, x, y, size)?;
-        if !wants_split {
-            self.leaves.push(LeafRegion { x, y, size, depth });
-            return Ok(());
-        }
-        let half = size / 2;
-        // NW, NE, SW, SE — recursion order is irrelevant; leaves are
-        // Z-sorted afterwards.
-        self.subdivide(sums, sq_sums, cfg, x, y, half, depth + 1)?;
-        self.subdivide(sums, sq_sums, cfg, x + half, y, half, depth + 1)?;
-        self.subdivide(sums, sq_sums, cfg, x, y + half, half, depth + 1)?;
-        self.subdivide(sums, sq_sums, cfg, x + half, y + half, size - half, depth + 1)
-    }
-
-    fn detail_exceeds(
-        &self,
-        sums: &IntegralImage,
-        sq_sums: Option<&IntegralImage>,
-        cfg: &QuadTreeConfig,
-        x: u32,
-        y: u32,
-        size: u32,
-    ) -> Result<bool, PatchError> {
-        let (x, y, s) = (x as usize, y as usize, size as usize);
-        let sum = sums.rect_sum(x, y, s, s);
-        let sq_sum = match cfg.criterion {
-            SplitCriterion::Variance { .. } => Some(
-                sq_sums
-                    .ok_or(PatchError::MissingSquaredIntegral)?
-                    .rect_sum(x, y, s, s),
-            ),
-            SplitCriterion::EdgeCount { .. } => None,
-        };
-        cfg.criterion.exceeds(sum, sq_sum, (s * s) as f64)
+            max_depth_reached: d.max_depth_reached,
+            nodes_visited: d.nodes_visited,
+        })
     }
 
     /// Number of leaves (the adaptive sequence length before pad/drop).
@@ -478,6 +336,202 @@ impl QuadTree {
     }
 }
 
+/// Side of a pyramid's base cell: the smallest quadrant whose split is ever
+/// decided (at least `2 * min_leaf` wide, at depth below `max_depth`),
+/// capped at the tile side.
+fn base_cell(z: usize, tile: usize, cfg: &QuadTreeConfig) -> usize {
+    let deepest = match cfg.max_depth {
+        0 => z,
+        d => z.checked_shr(d as u32 - 1).unwrap_or(0),
+    };
+    (2 * cfg.min_leaf as usize).next_power_of_two().max(deepest).min(tile)
+}
+
+/// Aligned power-of-two quadrant sums over a square region: level 0 holds
+/// the sums of `side x side` cells of `cell` pixels, and each level above
+/// sums 2x2 cells of the one below in NW, NE, SW, SE order, up to one cell.
+struct SumPyramid {
+    cell: usize,
+    side: usize,
+    /// Offset of each level in `sums`, base first.
+    starts: Vec<usize>,
+    sums: Vec<f64>,
+}
+
+impl SumPyramid {
+    /// Stacks the levels above `side x side` base sums.
+    fn new(cell: usize, side: usize, mut sums: Vec<f64>) -> SumPyramid {
+        let mut starts = vec![0];
+        let mut s = side;
+        while s > 1 {
+            let start = *starts.last().unwrap();
+            for cy in (0..s).step_by(2) {
+                for cx in (0..s).step_by(2) {
+                    let nw = start + cy * s + cx;
+                    sums.push(sums[nw] + sums[nw + 1] + sums[nw + s] + sums[nw + s + 1]);
+                }
+            }
+            starts.push(start + s * s);
+            s /= 2;
+        }
+        SumPyramid { cell, side, starts, sums }
+    }
+
+    /// The pyramid of `f(pixel)` over a row-major `tile x tile` tile; each
+    /// base cell sums its pixels row-major.
+    fn of_tile(pixels: &[f32], tile: usize, cell: usize, f: impl Fn(f32) -> f64) -> SumPyramid {
+        let side = tile / cell;
+        let mut sums = vec![0.0; side * side];
+        for (y, row) in pixels.chunks_exact(tile).enumerate() {
+            let cells = &mut sums[y / cell * side..][..side];
+            for (acc, run) in cells.iter_mut().zip(row.chunks_exact(cell)) {
+                for &v in run {
+                    *acc += f(v);
+                }
+            }
+        }
+        SumPyramid::new(cell, side, sums)
+    }
+
+    /// The sum over the aligned `size`-pixel quadrant at `(x, y)` from the
+    /// region's corner; `size` is a power of two from `cell` up.
+    fn get(&self, x: usize, y: usize, size: usize) -> f64 {
+        let k = (size / self.cell).trailing_zeros() as usize;
+        self.sums[self.starts[k] + y / size * (self.side >> k) + x / size]
+    }
+
+    fn total(&self) -> f64 {
+        self.get(0, 0, self.cell * self.side)
+    }
+}
+
+/// Pyramids of a region's values and, for the variance criterion, of their
+/// squares.
+type Sums = (SumPyramid, Option<SumPyramid>);
+
+/// Phase A for tile `(tx, ty)`. A non-finite pixel makes the total
+/// non-finite (sums of finite `f32`s cannot overflow `f64`), and only then
+/// are the pixels scanned for the first one.
+fn tile_sums(
+    pixels: &[f32],
+    tile: usize,
+    cell: usize,
+    need_sq: bool,
+    (tx, ty): (u32, u32),
+) -> Result<Sums, PatchError> {
+    assert_eq!(pixels.len(), tile * tile, "a {tile}x{tile} tile has {} pixels", pixels.len());
+    let sum = SumPyramid::of_tile(pixels, tile, cell, |v| v as f64);
+    if !sum.total().is_finite() {
+        let i = pixels.iter().position(|v| !v.is_finite()).expect("a non-finite term");
+        return Err(PatchError::NonFinitePixel {
+            x: tx as usize * tile + i % tile,
+            y: ty as usize * tile + i / tile,
+            value: pixels[i],
+        });
+    }
+    let sq = need_sq.then(|| SumPyramid::of_tile(pixels, tile, cell, |v| v as f64 * v as f64));
+    Ok((sum, sq))
+}
+
+/// Phase B's state: the pyramids over the tile grid, the memo slot and the
+/// subdivision output.
+struct Descent<'a> {
+    cfg: &'a QuadTreeConfig,
+    tile: usize,
+    grid: Sums,
+    memo: ((u32, u32), Sums),
+    leaves: Vec<LeafRegion>,
+    nodes_visited: usize,
+    max_depth_reached: u8,
+}
+
+impl<'a> Descent<'a> {
+    /// Phase A: sums every tile once, in row-major tile order, and stacks
+    /// the tile totals into the grid pyramids.
+    fn sum_tiles<E>(
+        z: usize,
+        tile: usize,
+        cfg: &'a QuadTreeConfig,
+        summed: &mut impl FnMut(u32, u32) -> Result<Sums, E>,
+    ) -> Result<Descent<'a>, E> {
+        let side = z / tile;
+        let (mut sum, mut sq) = (Vec::with_capacity(side * side), Vec::new());
+        let mut memo = None;
+        for ty in 0..side as u32 {
+            for tx in 0..side as u32 {
+                let sums = summed(tx, ty)?;
+                sum.push(sums.0.total());
+                sq.extend(sums.1.as_ref().map(SumPyramid::total));
+                memo = Some(((tx, ty), sums));
+            }
+        }
+        let need_sq = matches!(cfg.criterion, SplitCriterion::Variance { .. });
+        let grid_sq = need_sq.then(|| SumPyramid::new(tile, side, sq));
+        Ok(Descent {
+            cfg,
+            tile,
+            grid: (SumPyramid::new(tile, side, sum), grid_sq),
+            memo: memo.expect("a validated image has at least one tile"),
+            leaves: Vec::new(),
+            nodes_visited: 0,
+            max_depth_reached: 0,
+        })
+    }
+
+    /// Sums over an aligned quadrant: from the grid pyramids at or above
+    /// tile size, else from the pyramids of the one tile that holds it.
+    fn quadrant_sums<E>(
+        &mut self,
+        summed: &mut impl FnMut(u32, u32) -> Result<Sums, E>,
+        x: usize,
+        y: usize,
+        size: usize,
+    ) -> Result<(f64, Option<f64>), E> {
+        let ((sum, sq), x, y) = if size >= self.tile {
+            (&self.grid, x, y)
+        } else {
+            let t = ((x / self.tile) as u32, (y / self.tile) as u32);
+            if self.memo.0 != t {
+                self.memo = (t, summed(t.0, t.1)?);
+            }
+            (&self.memo.1, x % self.tile, y % self.tile)
+        };
+        Ok((sum.get(x, y, size), sq.as_ref().map(|q| q.get(x, y, size))))
+    }
+
+    /// Eq. 6, top-down.
+    fn subdivide<E: From<PatchError>>(
+        &mut self,
+        summed: &mut impl FnMut(u32, u32) -> Result<Sums, E>,
+        x: u32,
+        y: u32,
+        size: u32,
+        depth: u8,
+    ) -> Result<(), E> {
+        self.nodes_visited += 1;
+        self.max_depth_reached = self.max_depth_reached.max(depth);
+
+        let cfg = self.cfg;
+        let can_split = depth < cfg.max_depth && size >= 2 * cfg.min_leaf && size >= 2;
+        let wants_split = can_split && {
+            let s = size as usize;
+            let (sum, sq) = self.quadrant_sums(summed, x as usize, y as usize, s)?;
+            cfg.criterion.exceeds(sum, sq, (s * s) as f64)?
+        };
+        if !wants_split {
+            self.leaves.push(LeafRegion { x, y, size, depth });
+            return Ok(());
+        }
+        let half = size / 2;
+        // NW, NE, SW, SE — the Z order that keeps one tile's descent
+        // contiguous; leaves are Z-sorted afterwards.
+        self.subdivide(summed, x, y, half, depth + 1)?;
+        self.subdivide(summed, x + half, y, half, depth + 1)?;
+        self.subdivide(summed, x, y + half, half, depth + 1)?;
+        self.subdivide(summed, x + half, y + half, half, depth + 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,12 +559,8 @@ mod tests {
     #[test]
     fn detail_forces_subdivision() {
         let img = edge_cross(64);
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 4.0 },
-            max_depth: 6,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: 4.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 6, min_leaf: 2 };
         let tree = QuadTree::build(&img, &cfg);
         assert!(tree.len() > 16, "expected many leaves, got {}", tree.len());
         tree.validate_partition().unwrap();
@@ -524,12 +574,8 @@ mod tests {
     fn depth_limit_is_respected() {
         let img = edge_cross(64);
         for h in [1u8, 2, 3] {
-            let cfg = QuadTreeConfig {
-                criterion: SplitCriterion::EdgeCount { split_value: 0.5 },
-                max_depth: h,
-                min_leaf: 1,
-                balance_2to1: false,
-            };
+            let criterion = SplitCriterion::EdgeCount { split_value: 0.5 };
+            let cfg = QuadTreeConfig { criterion, max_depth: h, min_leaf: 1 };
             let tree = QuadTree::build(&img, &cfg);
             assert!(tree.leaves.iter().all(|l| l.depth <= h));
             assert_eq!(tree.max_depth_reached, h);
@@ -540,12 +586,8 @@ mod tests {
     #[test]
     fn min_leaf_is_respected() {
         let img = edge_cross(64);
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 0.5 },
-            max_depth: 12,
-            min_leaf: 4,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: 0.5 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 12, min_leaf: 4 };
         let tree = QuadTree::build(&img, &cfg);
         assert!(tree.leaves.iter().all(|l| l.size >= 4));
     }
@@ -554,12 +596,8 @@ mod tests {
     fn split_value_controls_sequence_length() {
         let img = edge_cross(128);
         let len_at = |v: f64| {
-            let cfg = QuadTreeConfig {
-                criterion: SplitCriterion::EdgeCount { split_value: v },
-                max_depth: 10,
-                min_leaf: 2,
-                balance_2to1: false,
-            };
+            let criterion = SplitCriterion::EdgeCount { split_value: v };
+            let cfg = QuadTreeConfig { criterion, max_depth: 10, min_leaf: 2 };
             QuadTree::build(&img, &cfg).len()
         };
         // Halving the split value must not shorten the sequence.
@@ -582,12 +620,8 @@ mod tests {
         // Detail everywhere: quadtree == uniform grid at the depth bound
         // (paper: "the worst case becomes like uniform grid patching").
         let img = GrayImage::from_raw(32, 32, vec![1.0; 1024]);
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 3.0 },
-            max_depth: 3,
-            min_leaf: 1,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: 3.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 3, min_leaf: 1 };
         let tree = QuadTree::build(&img, &cfg);
         assert_eq!(tree.len(), 64); // 4^3
         assert!(tree.leaves.iter().all(|l| l.size == 4));
@@ -602,79 +636,14 @@ mod tests {
                 ((x + y) % 2) as f32 // checkerboard half
             }
         });
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::Variance { threshold: 0.01 },
-            max_depth: 4,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::Variance { threshold: 0.01 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 4, min_leaf: 2 };
         let tree = QuadTree::build(&img, &cfg);
         tree.validate_partition().unwrap();
         // Flat side keeps big leaves; textured side is shredded.
         let left_max = tree.leaves.iter().filter(|l| l.x < 32).map(|l| l.size).max().unwrap();
         let right_max = tree.leaves.iter().filter(|l| l.x >= 32).map(|l| l.size).max().unwrap();
         assert!(left_max > right_max);
-    }
-
-    #[test]
-    fn unbalanced_tree_can_violate_2to1() {
-        // Detail concentrated in one corner produces a sharp size gradient.
-        let img = GrayImage::from_fn(64, 64, |x, y| {
-            if x < 8 && y < 8 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 2.0 },
-            max_depth: 5,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
-        let tree = QuadTree::build(&img, &cfg);
-        assert!(tree.validate_2to1_balance().is_err(), "expected an unbalanced tree");
-    }
-
-    #[test]
-    fn balance_2to1_restores_invariant_and_keeps_partition() {
-        let img = GrayImage::from_fn(64, 64, |x, y| {
-            if x < 8 && y < 8 {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 2.0 },
-            max_depth: 5,
-            min_leaf: 2,
-            balance_2to1: true,
-        };
-        let tree = QuadTree::build(&img, &cfg);
-        tree.validate_partition().unwrap();
-        tree.validate_2to1_balance().unwrap();
-        // Still Z-ordered after the balancing pass.
-        for w in tree.leaves.windows(2) {
-            assert!(w[0].morton() < w[1].morton());
-        }
-        // Balancing only refines: at least as many leaves as unbalanced.
-        let unbalanced = QuadTree::build(
-            &img,
-            &QuadTreeConfig { balance_2to1: false, ..cfg },
-        );
-        assert!(tree.len() >= unbalanced.len());
-    }
-
-    #[test]
-    fn balance_noop_on_already_balanced_trees() {
-        // A flat image (single leaf) and a uniform grid are both balanced.
-        let flat = QuadTree::build(
-            &GrayImage::new(32, 32),
-            &QuadTreeConfig { balance_2to1: true, ..QuadTreeConfig::default() },
-        );
-        assert_eq!(flat.len(), 1);
-        flat.validate_2to1_balance().unwrap();
     }
 
     #[test]
@@ -704,8 +673,10 @@ mod tests {
             QuadTree::try_build(&GrayImage::new(2, 2), &cfg).unwrap_err(),
             PatchError::TooSmall { size: 2, min_required: 4 }
         );
+        // The first non-finite pixel in row-major order is the one named.
         let mut nan = GrayImage::new(16, 16);
         nan.set(5, 9, f32::NAN);
+        nan.set(2, 11, f32::INFINITY);
         assert!(matches!(
             QuadTree::try_build(&nan, &cfg).unwrap_err(),
             PatchError::NonFinitePixel { x: 5, y: 9, .. }
@@ -714,23 +685,65 @@ mod tests {
 
     #[test]
     fn stored_stats_match_a_fresh_walk() {
-        for balance in [false, true] {
-            let cfg = QuadTreeConfig {
-                criterion: SplitCriterion::EdgeCount { split_value: 4.0 },
-                max_depth: 6,
-                min_leaf: 2,
-                balance_2to1: balance,
-            };
-            let tree = QuadTree::build(&edge_cross(64), &cfg);
-            assert_eq!(tree.stats, TreeStats::compute(&tree.leaves));
-            assert_eq!(tree.stats.leaf_count, tree.len());
-            assert!(tree.stats.min_leaf_size <= tree.stats.max_leaf_size);
-            let total: usize = tree.stats.size_histogram.iter().map(|&(_, c)| c).sum();
-            assert_eq!(total, tree.len());
-            let total_d: usize = tree.stats.depth_histogram.iter().map(|&(_, c)| c).sum();
-            assert_eq!(total_d, tree.len());
-        }
+        let criterion = SplitCriterion::EdgeCount { split_value: 4.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 6, min_leaf: 2 };
+        let tree = QuadTree::build(&edge_cross(64), &cfg);
+        assert_eq!(tree.stats, TreeStats::compute(&tree.leaves));
+        assert_eq!(tree.stats.leaf_count, tree.len());
+        assert!(tree.stats.min_leaf_size <= tree.stats.max_leaf_size);
+        let total: usize = tree.stats.size_histogram.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total, tree.len());
+        let total_d: usize = tree.stats.depth_histogram.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total_d, tree.len());
         assert_eq!(TreeStats::compute(&[]), TreeStats::empty());
+    }
+
+    /// On an integer-valued map every aligned quadrant sum the pyramids
+    /// hold equals a brute-force `f64` sum, at every tile side, and every
+    /// quadrant the descent decides is at least a base cell wide.
+    #[test]
+    fn pyramid_sums_match_brute_force() {
+        let z = 16usize;
+        let img = GrayImage::from_fn(z, z, |x, y| ((x * 7 + y * 3) % 5) as f32 - 1.0);
+        let brute = |x: usize, y: usize, s: usize| {
+            let (mut sum, mut sq) = (0.0, 0.0);
+            for yy in y..y + s {
+                for xx in x..x + s {
+                    let v = img.get(xx, yy) as f64;
+                    sum += v;
+                    sq += v * v;
+                }
+            }
+            (sum, Some(sq))
+        };
+        for min_leaf in [1u32, 2, 3, z as u32 / 2] {
+            for max_depth in [0u8, 1, 255] {
+                let criterion = SplitCriterion::Variance { threshold: 0.0 };
+                let cfg = QuadTreeConfig { criterion, max_depth, min_leaf };
+                for tile in [1usize, 4, z] {
+                    let cell = base_cell(z, tile, &cfg);
+                    let mut summed = |tx: u32, ty: u32| {
+                        let crop = img.crop(tx as usize * tile, ty as usize * tile, tile, tile);
+                        tile_sums(crop.data(), tile, cell, true, (tx, ty))
+                    };
+                    let mut d = Descent::sum_tiles(z, tile, &cfg, &mut summed).unwrap();
+                    for size in (0..=z.trailing_zeros()).map(|k| 1usize << k) {
+                        let depth = (z / size).trailing_zeros() as u8;
+                        let decided = depth < max_depth && size >= 2 * min_leaf as usize;
+                        assert!(!decided || size >= base_cell(z, z, &cfg), "{cfg:?}: {size}");
+                        if size < cell {
+                            continue;
+                        }
+                        for y in (0..z).step_by(size) {
+                            for x in (0..z).step_by(size) {
+                                let got = d.quadrant_sums(&mut summed, x, y, size).unwrap();
+                                assert_eq!(got, brute(x, y, size), "{cfg:?} tile {tile} {x},{y}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,12 +81,8 @@ mod tests {
                 0.0
             }
         });
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: 4.0 },
-            max_depth: 5,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: 4.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 5, min_leaf: 2 };
         let tree = QuadTree::build(&edges, &cfg);
         let s = PatchStats::from_tree(&tree);
         // Uniform 2x2 grid would be 1024 patches; APF should use far fewer.

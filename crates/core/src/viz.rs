@@ -57,12 +57,8 @@ mod tests {
 
     fn demo_tree() -> (GrayImage, QuadTree) {
         let img = GrayImage::from_fn(32, 32, |x, y| if x == 16 || y == 16 { 1.0 } else { 0.2 });
-        let cfg = QuadTreeConfig {
-            criterion: crate::quadtree::SplitCriterion::EdgeCount { split_value: 4.0 },
-            max_depth: 4,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = crate::quadtree::SplitCriterion::EdgeCount { split_value: 4.0 };
+        let cfg = QuadTreeConfig { criterion, max_depth: 4, min_leaf: 2 };
         let tree = QuadTree::build(&img, &cfg);
         (img, tree)
     }

@@ -49,12 +49,8 @@ proptest! {
     ) {
         let z = 1 << zexp;
         let img = detail_image(z, density, seed);
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: split },
-            max_depth: depth,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: split };
+        let cfg = QuadTreeConfig { criterion, max_depth: depth, min_leaf: 2 };
         let tree = QuadTree::build(&img, &cfg);
         prop_assert!(tree.validate_partition().is_ok());
         // Z-ordering is strict.
@@ -78,12 +74,8 @@ proptest! {
         // Every leaf either satisfies the stop criterion or hit a limit.
         let z = 1 << zexp;
         let img = detail_image(z, density, seed);
-        let cfg = QuadTreeConfig {
-            criterion: SplitCriterion::EdgeCount { split_value: split },
-            max_depth: 10,
-            min_leaf: 2,
-            balance_2to1: false,
-        };
+        let criterion = SplitCriterion::EdgeCount { split_value: split };
+        let cfg = QuadTreeConfig { criterion, max_depth: 10, min_leaf: 2 };
         let tree = QuadTree::build(&img, &cfg);
         for l in &tree.leaves {
             let mut count = 0.0;

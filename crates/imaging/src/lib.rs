@@ -5,9 +5,8 @@
 //!
 //! The processing half implements exactly the pre-processing chain of
 //! Algorithm 1 in the paper: [`filter::gaussian_blur`] -> [`canny::canny`],
-//! plus the [`integral::IntegralImage`] that makes the quadtree's edge-count
-//! split criterion O(1) per quadrant, and the [`resize`] projections used to
-//! bring mixed-scale patches to a common size.
+//! plus the [`resize`] projections used to bring mixed-scale patches to a
+//! common size. The quadtree's edge counts are summed in `apf-core`.
 //!
 //! The generator half substitutes for the access-gated datasets: [`paip`]
 //! produces pathology-like slides (detail concentrated at lesion/vessel
@@ -19,7 +18,6 @@ pub mod btcv;
 pub mod canny;
 pub mod filter;
 pub mod image;
-pub mod integral;
 pub mod io;
 pub mod noise;
 pub mod paip;
@@ -28,5 +26,4 @@ pub mod resize;
 pub use canny::{canny, CannyConfig};
 pub use filter::gaussian_blur;
 pub use image::{GrayImage, ImageError};
-pub use integral::IntegralImage;
 pub use resize::{resize_area, resize_bilinear, resize_nearest};

@@ -147,7 +147,6 @@ fn claim_quadtree_worst_case_is_uniform_grid() {
         criterion: SplitCriterion::EdgeCount { split_value: 1.0 },
         max_depth: 4,
         min_leaf: 2,
-        balance_2to1: false,
     };
     let tree = QuadTree::build(&all_detail, &cfg);
     assert_eq!(tree.len(), 4usize.pow(4)); // exactly the uniform grid
